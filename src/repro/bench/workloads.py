@@ -52,7 +52,6 @@ def _execute(
     max_batches: int = 1000,
     use_index: bool = True,
     use_dispatch_gate: bool = True,
-    use_soa_state: bool = True,
 ) -> ExecutionStats:
     """One run through the engine, returning its simulator-side stats.
 
@@ -63,11 +62,7 @@ def _execute(
     disables the LifeGuard's event-level placeability gate, probing every
     available worker per event like the pre-gate code — the "before" arm of
     the gate baselines (bit-identical labels and cost counters, only probe
-    volume and wall time differ).  ``use_soa_state=False`` keeps assignment
-    bookkeeping in the platform's per-dict scan-oracle ledger instead of
-    the struct-of-arrays columns (via ``JobSpec.backend_options``) — the
-    reference the ``BENCH_*.dict_oracle.json`` twins are strict-compared
-    against.
+    volume and wall time differ).
     """
     spec = JobSpec(
         dataset=dataset,
@@ -80,7 +75,6 @@ def _execute(
         ),
         num_records=num_records,
         max_batches=max_batches,
-        backend_options=None if use_soa_state else {"use_soa_state": False},
     )
     if not use_index or not use_dispatch_gate:
         platform, batcher = build_run(spec)
@@ -245,7 +239,6 @@ def scale_workload(
     max_extra_assignments: Optional[int] = None,
     use_index: bool = True,
     use_dispatch_gate: bool = True,
-    use_soa_state: bool = True,
 ) -> WorkloadOutcome:
     """Simulator hot-path stress: big pools, thousands of tasks, no learner.
 
@@ -253,11 +246,9 @@ def scale_workload(
     ``scale_capped`` registration runs this very sweep with a cap, cutting
     the assignment tail severalfold at the 1000-worker tier);
     ``use_index=False`` serves dispatch from the brute-force scan oracle
-    instead of the incremental index, ``use_dispatch_gate=False`` disables
-    the event-level placeability gate over the probe loop, and
-    ``use_soa_state=False`` swaps the platform's struct-of-arrays
-    assignment ledger for the per-dict oracle twin — all three for
-    bit-identical-behaviour baselines.
+    instead of the incremental index, and ``use_dispatch_gate=False``
+    disables the event-level placeability gate over the probe loop — both
+    for bit-identical-behaviour baselines.
     """
     stats = []
     points = []
@@ -277,7 +268,6 @@ def scale_workload(
             num_records,
             use_index=use_index,
             use_dispatch_gate=use_dispatch_gate,
-            use_soa_state=use_soa_state,
         )
         stats.append(run_stats)
         points.append(
@@ -311,7 +301,6 @@ def scale_workload(
         "max_extra_assignments": 2,
         "use_index": True,
         "use_dispatch_gate": True,
-        "use_soa_state": True,
     },
 )
 def scale_capped_workload(
@@ -320,7 +309,6 @@ def scale_capped_workload(
     max_extra_assignments: Optional[int] = 2,
     use_index: bool = True,
     use_dispatch_gate: bool = True,
-    use_soa_state: bool = True,
 ) -> WorkloadOutcome:
     """The ``scale`` sweep with the §4.1 duplicate cap enabled.
 
@@ -332,10 +320,8 @@ def scale_capped_workload(
     placeability gate's home turf (most dispatch probes are futile without
     it).  Run with ``--param use_index=false`` to regenerate the
     scan-oracle twin that proves the capped fast path is
-    behaviour-identical, with ``--param use_dispatch_gate=false`` for the
-    ungated "before" arm of the gate baselines, and with
-    ``--param use_soa_state=false`` for the per-dict assignment-ledger
-    twin (``BENCH_*.dict_oracle.json``).
+    behaviour-identical, and with ``--param use_dispatch_gate=false`` for
+    the ungated "before" arm of the gate baselines.
     """
     return scale_workload(
         seed=seed,
@@ -343,7 +329,6 @@ def scale_capped_workload(
         max_extra_assignments=max_extra_assignments,
         use_index=use_index,
         use_dispatch_gate=use_dispatch_gate,
-        use_soa_state=use_soa_state,
     )
 
 

@@ -33,10 +33,8 @@ assignment-observer hooks (:meth:`assignment_started` /
 LifeGuard registers for the duration of a batch.  Routing this through the
 platform rather than the LifeGuard matters: pool maintenance terminates
 assignments from inside ``replace_worker``, a path the LifeGuard never sees.
-The simulated platform fires these callbacks from its assignment-ledger
-transitions, and the ledger layout (struct-of-arrays columns vs the
-per-dict oracle twin) is required to be observer-invisible: same callbacks,
-same order, same arguments, whichever ledger is active.
+The simulated platform fires these callbacks from its assignment
+transitions, in the order the transitions happen.
 
 Equivalence contract: for every sequence of callbacks produced by a real
 batch run, the index's view (live active tasks in batch order, per-task

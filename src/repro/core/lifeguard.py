@@ -40,10 +40,7 @@ class DispatchGate:
       a task may become starved or fall back under its duplicate cap) —
       delivered through the platform's assignment-observer hooks, which
       also cover platform-internal terminations (maintenance evictions,
-      abandonment-driven churn) the LifeGuard never sees directly; the
-      platform emits these from its assignment-ledger transitions, so the
-      gate's view is identical whichever ledger (struct-of-arrays or the
-      per-dict oracle) is active;
+      abandonment-driven churn) the LifeGuard never sees directly;
     * an assignment starting (a fresh duplication target appears);
     * consensus completing a task (its losing replicas are about to be
       terminated) — via :meth:`task_completed`;

@@ -20,9 +20,8 @@ policy, maintenance thresholds, or learning — those live in ``repro.core``.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,12 +31,7 @@ from .events import Event, EventKind, EventQueue
 from .pool import RetainerPool
 from .recruitment import BackgroundReserve, Recruiter, RecruitmentParameters
 from .tasks import Assignment, AssignmentStatus, Task
-from .worker import (
-    DEFAULT_DRAW_BLOCK_SIZE,
-    WorkerDrawBlock,
-    WorkerPopulation,
-    WorkerProfile,
-)
+from .worker import WorkerDrawBlock, WorkerPopulation, WorkerProfile
 
 
 @runtime_checkable
@@ -83,166 +77,6 @@ class PlatformCounters:
     probes_futile: int = 0
 
 
-#: Assignment status codes for the struct-of-arrays ledger's status column.
-#: Mirrors :class:`~repro.crowd.tasks.AssignmentStatus`; kept as plain ints
-#: so the column is a ``bytearray`` instead of an object list.
-_STATUS_ACTIVE = 0
-_STATUS_COMPLETED = 1
-_STATUS_TERMINATED = 2
-
-
-class _SoaAssignmentLedger:
-    """Struct-of-arrays assignment bookkeeping: the platform's fast path.
-
-    Assignment ids are dense sequential ints (``itertools.count`` starting
-    at 0), so per-assignment state lives in parallel columns indexed by id —
-    worker id (``array('q')``), start time (``array('d')``), status
-    (``bytearray``), plus object columns for the task, the
-    :class:`Assignment`, and the scheduled completion :class:`Event` —
-    instead of three parallel dicts hashed per transition.  Appends and
-    index reads replace dict insert/lookup/pop on every assignment start,
-    completion, and termination, which is the hot path of the ``scale``
-    workloads.
-
-    The per-dict seed implementation survives as
-    :class:`_DictAssignmentLedger`, registered method-for-method in
-    ``_SCAN_TWINS`` (REPRO-P501) so the lint gate keeps the oracle alive;
-    ``SimulatedCrowdPlatform(use_soa_state=False)`` swaps it in, and the
-    equivalence sweep plus the committed ``BENCH_*.dict_oracle.json``
-    baselines prove the two ledgers bit-identical run for run.
-
-    The status column deliberately duplicates ``Assignment.status`` (the
-    object stays authoritative for the public API); ``active_assignment``
-    reads the byte, the oracle twin reads the object, and any divergence
-    between the two is exactly what the equivalence cells would catch.
-    """
-
-    _SCAN_TWINS: ClassVar[dict[str, str]] = {
-        "record": "_DictAssignmentLedger.record",
-        "task_for": "_DictAssignmentLedger.task_for",
-        "pop_event": "_DictAssignmentLedger.pop_event",
-        "active_assignment": "_DictAssignmentLedger.active_assignment",
-        "mark_completed": "_DictAssignmentLedger.mark_completed",
-        "mark_terminated": "_DictAssignmentLedger.mark_terminated",
-        "started_at": "_DictAssignmentLedger.started_at",
-        "worker_of": "_DictAssignmentLedger.worker_of",
-    }
-
-    __slots__ = (
-        "_worker_ids",
-        "_started_at",
-        "_status",
-        "_tasks",
-        "_assignments",
-        "_events",
-    )
-
-    def __init__(self) -> None:
-        self._worker_ids = array("q")
-        self._started_at = array("d")
-        self._status = bytearray()
-        self._tasks: list[Task] = []
-        self._assignments: list[Assignment] = []
-        self._events: list[Optional[Event]] = []
-
-    def __len__(self) -> int:
-        return len(self._assignments)
-
-    def record(self, assignment: Assignment, task: Task, event: Event) -> None:
-        """Append one just-started assignment's row across every column."""
-        if assignment.assignment_id != len(self._assignments):
-            raise ValueError(
-                "assignment ids must be dense and sequential; got "
-                f"{assignment.assignment_id}, expected {len(self._assignments)}"
-            )
-        self._worker_ids.append(assignment.worker_id)
-        self._started_at.append(assignment.started_at)
-        self._status.append(_STATUS_ACTIVE)
-        self._tasks.append(task)
-        self._assignments.append(assignment)
-        self._events.append(event)
-
-    def task_for(self, assignment_id: int) -> Task:
-        return self._tasks[assignment_id]
-
-    def pop_event(self, assignment_id: int) -> Optional[Event]:
-        event = self._events[assignment_id]
-        self._events[assignment_id] = None
-        return event
-
-    def active_assignment(self, assignment_id: int) -> Optional[Assignment]:
-        """The assignment, or ``None`` once it completed or terminated."""
-        if self._status[assignment_id] != _STATUS_ACTIVE:
-            return None
-        return self._assignments[assignment_id]
-
-    def mark_completed(self, assignment_id: int) -> None:
-        self._status[assignment_id] = _STATUS_COMPLETED
-        self._events[assignment_id] = None
-
-    def mark_terminated(self, assignment_id: int) -> None:
-        self._status[assignment_id] = _STATUS_TERMINATED
-
-    def started_at(self, assignment_id: int) -> float:
-        return self._started_at[assignment_id]
-
-    def worker_of(self, assignment_id: int) -> int:
-        return self._worker_ids[assignment_id]
-
-
-class _DictAssignmentLedger:
-    """Per-assignment dict bookkeeping: the registered scan-oracle twin.
-
-    This is the seed implementation the struct-of-arrays ledger replaced —
-    three dicts keyed by assignment id, with activity derived from the
-    :class:`Assignment` object's own status rather than a redundant column.
-    It stays registered (``_SoaAssignmentLedger._SCAN_TWINS``) and reachable
-    (``use_soa_state=False``) so every fast-path behaviour claim remains
-    falsifiable against it.
-    """
-
-    __slots__ = ("_assignments", "_tasks", "_events")
-
-    def __init__(self) -> None:
-        self._assignments: dict[int, Assignment] = {}
-        self._tasks: dict[int, Task] = {}
-        self._events: dict[int, Event] = {}
-
-    def __len__(self) -> int:
-        return len(self._assignments)
-
-    def record(self, assignment: Assignment, task: Task, event: Event) -> None:
-        assignment_id = assignment.assignment_id
-        self._assignments[assignment_id] = assignment
-        self._tasks[assignment_id] = task
-        self._events[assignment_id] = event
-
-    def task_for(self, assignment_id: int) -> Task:
-        return self._tasks[assignment_id]
-
-    def pop_event(self, assignment_id: int) -> Optional[Event]:
-        return self._events.pop(assignment_id, None)
-
-    def active_assignment(self, assignment_id: int) -> Optional[Assignment]:
-        assignment = self._assignments.get(assignment_id)
-        if assignment is not None and assignment.is_active:
-            return assignment
-        return None
-
-    def mark_completed(self, assignment_id: int) -> None:
-        self._events.pop(assignment_id, None)
-
-    def mark_terminated(self, assignment_id: int) -> None:
-        # Activity is derived from Assignment.status here; nothing to flip.
-        pass
-
-    def started_at(self, assignment_id: int) -> float:
-        return self._assignments[assignment_id].started_at
-
-    def worker_of(self, assignment_id: int) -> int:
-        return self._assignments[assignment_id].worker_id
-
-
 class SimulatedCrowdPlatform:
     """A retainer-pool crowd platform backed by simulated workers."""
 
@@ -254,8 +88,6 @@ class SimulatedCrowdPlatform:
         num_classes: int = 2,
         abandonment_rate: float = 0.0,
         termination_overhead_seconds: float = 2.0,
-        use_soa_state: bool = True,
-        draw_block_size: int = DEFAULT_DRAW_BLOCK_SIZE,
     ) -> None:
         """Create a platform.
 
@@ -276,23 +108,11 @@ class SimulatedCrowdPlatform:
             Seconds a worker needs to acknowledge a terminated assignment
             before they can accept new work (§6.3 notes this is a real cost
             of aggressive straggler mitigation).
-        use_soa_state:
-            ``True`` (default) keeps assignment state in the struct-of-arrays
-            ledger; ``False`` runs the per-dict scan-oracle twin instead.
-            Same draws, same events, bit-identical outcomes — the toggle
-            exists so CI and the equivalence sweep can prove exactly that.
-        draw_block_size:
-            Values pre-drawn per worker-stream refill (see
-            :class:`~repro.crowd.worker.WorkerDrawBlock`).  Any size >= 1
-            yields the same simulation: blocks are a prefetch window over
-            per-worker streams, not a unit of randomness.
         """
         if not 0.0 <= abandonment_rate < 1.0:
             raise ValueError("abandonment_rate must be in [0, 1)")
         if termination_overhead_seconds < 0:
             raise ValueError("termination_overhead_seconds must be non-negative")
-        if draw_block_size < 1:
-            raise ValueError("draw_block_size must be >= 1")
         self.population = population
         self.pool = RetainerPool()
         self.queue = EventQueue()
@@ -301,8 +121,6 @@ class SimulatedCrowdPlatform:
         self.num_classes = num_classes
         self.abandonment_rate = abandonment_rate
         self.termination_overhead_seconds = termination_overhead_seconds
-        self.use_soa_state = bool(use_soa_state)
-        self.draw_block_size = int(draw_block_size)
         self.counters = PlatformCounters()
         #: Platform-stream generator.  Latency and label draws moved to the
         #: per-worker :class:`WorkerDrawBlock` streams; this stream now
@@ -315,10 +133,14 @@ class SimulatedCrowdPlatform:
         #: when the worker departs; ids are never reseated within a run, so
         #: a dropped stream is never resumed.
         self._draw_blocks: dict[int, WorkerDrawBlock] = {}
+        #: Per-assignment state, indexed by assignment id: ids are dense
+        #: because ``_assignment_counter`` issues them in start order.
+        #: Activity is read from ``Assignment.status``, the only copy; an
+        #: event slot is cleared once its assignment completes or terminates.
         self._assignment_counter = itertools.count()
-        self._ledger = (
-            _SoaAssignmentLedger() if self.use_soa_state else _DictAssignmentLedger()
-        )
+        self._assignments: list[Assignment] = []
+        self._tasks: list[Task] = []
+        self._events: list[Optional[Event]] = []
         self._observers: list[AssignmentObserver] = []
 
     # -- assignment observers ---------------------------------------------------
@@ -373,9 +195,7 @@ class SimulatedCrowdPlatform:
         """The pre-drawn RNG block of ``worker``, created on first draw."""
         block = self._draw_blocks.get(worker.worker_id)
         if block is None:
-            block = WorkerDrawBlock(
-                worker, seed=self._seed, block_size=self.draw_block_size
-            )
+            block = WorkerDrawBlock(worker, seed=self._seed)
             self._draw_blocks[worker.worker_id] = block
         return block
 
@@ -407,7 +227,9 @@ class SimulatedCrowdPlatform:
         event = self.queue.schedule_in(
             duration, EventKind.ASSIGNMENT_FINISHED, payload=assignment
         )
-        self._ledger.record(assignment, task, event)
+        self._assignments.append(assignment)
+        self._tasks.append(task)
+        self._events.append(event)
         self.counters.assignments_started += 1
         for observer in self._observers:
             observer.assignment_started(task, assignment)
@@ -425,7 +247,7 @@ class SimulatedCrowdPlatform:
             raise ValueError("assignment is not active")
         now = self.queue.now
         worker_id = assignment.worker_id
-        task = self._ledger.task_for(assignment.assignment_id)
+        task = self._tasks[assignment.assignment_id]
         worker = self.pool.worker(worker_id)
         labels = self._block_for(worker).draw_labels(
             task.true_labels, self.num_classes
@@ -440,7 +262,7 @@ class SimulatedCrowdPlatform:
         self.pool.record_completion(worker_id, assignment.duration)
         self.counters.assignments_completed += 1
         self.counters.records_labeled_paid += task.num_records
-        self._ledger.mark_completed(assignment.assignment_id)
+        self._events[assignment.assignment_id] = None
         for observer in self._observers:
             observer.assignment_completed(task, assignment)
 
@@ -462,12 +284,13 @@ class SimulatedCrowdPlatform:
         if assignment.status != AssignmentStatus.ACTIVE:
             raise ValueError("assignment is not active")
         now = self.queue.now
-        event = self._ledger.pop_event(assignment.assignment_id)
+        assignment_id = assignment.assignment_id
+        event = self._events[assignment_id]
         if event is not None:
             event.cancel()
-        task = self._ledger.task_for(assignment.assignment_id)
+            self._events[assignment_id] = None
+        task = self._tasks[assignment_id]
         assignment.terminate(now)
-        self._ledger.mark_terminated(assignment.assignment_id)
         worked = now - assignment.started_at
         if assignment.worker_id in self.pool:
             self.pool.mark_available(
@@ -484,7 +307,12 @@ class SimulatedCrowdPlatform:
             observer.assignment_terminated(task, assignment)
 
     def task_for_assignment(self, assignment: Assignment) -> Task:
-        return self._ledger.task_for(assignment.assignment_id)
+        return self._tasks[assignment.assignment_id]
+
+    def _active_assignment(self, assignment_id: int) -> Optional[Assignment]:
+        """The assignment, or ``None`` once it completed or terminated."""
+        assignment = self._assignments[assignment_id]
+        return assignment if assignment.is_active else None
 
     # -- pool maintenance hooks ------------------------------------------------
 
@@ -504,13 +332,12 @@ class SimulatedCrowdPlatform:
         # assignment is still active: callers that drive slot transitions
         # directly can leave a stale id behind, and the platform's own
         # complete/terminate-then-replace sequences at one timestamp must
-        # never double-terminate.  Resolve the id through the ledger's
-        # activity check (status byte on the SoA path, ``Assignment.status``
-        # on the oracle) before terminating — ``tests/test_platform.py``
-        # pins the same-timestamp and stale-watermark replacement paths.
+        # never double-terminate.  Check ``Assignment.status`` before
+        # terminating — ``tests/test_platform.py`` pins the same-timestamp
+        # and stale-watermark replacement paths.
         current = slot.current_assignment_id
         if current is not None:
-            active = self._ledger.active_assignment(current)
+            active = self._active_assignment(current)
             if active is not None:
                 self.terminate_assignment(active)
         self.pool.remove_worker(worker_id, self.now)
@@ -560,4 +387,4 @@ class SimulatedCrowdPlatform:
         current = slot.current_assignment_id
         if current is None:
             return None
-        return self._ledger.active_assignment(current)
+        return self._active_assignment(current)

@@ -35,10 +35,10 @@ class Slot:
     joined_at: float = 0.0
     #: Id of the assignment the worker is currently working on, if active.
     #: Set by :meth:`RetainerPool.mark_active`, cleared by
-    #: :meth:`RetainerPool.mark_available`; consumers resolving it against
-    #: assignment state (``replace_worker``, ``active_assignment_for_worker``)
-    #: must still check the assignment is *active* — a caller driving slot
-    #: transitions directly can leave a stale id behind.
+    #: :meth:`RetainerPool.mark_available`; the platform resolving it
+    #: (``replace_worker``, ``active_assignment_for_worker``) must still
+    #: check ``Assignment.status`` — a caller driving slot transitions
+    #: directly can leave a stale id behind.
     current_assignment_id: Optional[int] = None
     #: Number of tasks this worker has completed since joining the pool.
     #: This is the "worker age" used in Figure 5.

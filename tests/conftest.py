@@ -16,6 +16,11 @@ def pytest_configure(config):
         "equivalence: oracle-vs-fast-path RNG-stream equivalence sweep "
         "(run standalone with `pytest -m equivalence`)",
     )
+    # An exception that kills a background thread must fail the test that
+    # started it, not surface as a warning on a passing run.
+    config.addinivalue_line(
+        "filterwarnings", "error::pytest.PytestUnhandledThreadExceptionWarning"
+    )
 
 
 @pytest.fixture

@@ -4,9 +4,9 @@ The simulator's optimisations all carry the same contract: they must change
 *how fast* a run executes, never *what* it simulates.  Concretely, for any
 seed, pool size, and batch configuration, every execution variant — the
 incremental active-task index vs the brute-force candidate scan, the
-event-level dispatch gate on vs off — must produce bit-identical labels,
-platform cost counters, simulation clocks, and dollar costs: same RNG
-stream, same assignment-by-assignment schedule.
+event-level dispatch gate on vs off, the thread vs process executor — must
+produce bit-identical labels, platform cost counters, simulation clocks, and
+dollar costs: same RNG stream, same assignment-by-assignment schedule.
 
 This module factors the sweep machinery out of
 ``tests/test_mitigator_equivalence.py`` so future PRs can reuse it: build a
@@ -76,8 +76,6 @@ def run_fingerprint(
     use_index: bool = True,
     use_dispatch_gate: bool = True,
     mitigator_overrides: Optional[dict[str, Any]] = None,
-    use_soa_state: bool = True,
-    draw_block_size: Optional[int] = None,
 ) -> dict[str, Any]:
     """One full engine-path run, reduced to everything that must match.
 
@@ -86,26 +84,13 @@ def run_fingerprint(
     separate ``"probes"`` entry holding the dispatch-probe diagnostics,
     which are only required to match between runs with the same gate
     setting.
-
-    ``use_soa_state`` picks the platform's assignment ledger (struct-of-
-    arrays fast path vs the per-dict oracle twin) and ``draw_block_size``
-    the per-worker RNG-block refill size (``None`` keeps the platform
-    default); both travel through ``JobSpec.backend_options`` — the same
-    plumbing production callers use — and neither may change a single
-    behavioural field.
     """
-    backend_options: dict[str, Any] = {}
-    if not use_soa_state:
-        backend_options["use_soa_state"] = False
-    if draw_block_size is not None:
-        backend_options["draw_block_size"] = draw_block_size
     dataset = make_labeling_workload(num_records=2 * num_records, seed=config.seed)
     spec = JobSpec(
         dataset=dataset,
         config=config,
         population=mixed_speed_population(seed=config.seed),
         num_records=num_records,
-        backend_options=backend_options or None,
     )
     platform, batcher = build_run(spec)
     batcher.lifeguard.use_dispatch_gate = use_dispatch_gate
@@ -160,82 +145,6 @@ def spec_fingerprint(spec: JobSpec) -> dict[str, Any]:
 def behavioural_view(fingerprint: dict[str, Any]) -> dict[str, Any]:
     """The gate-independent part of a fingerprint (everything but probes)."""
     return {key: value for key, value in fingerprint.items() if key != "probes"}
-
-
-# -- state axis: struct-of-arrays ledger vs per-dict oracle ------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class StateVariant:
-    """One (assignment-ledger, dispatch-gate) cell of the state sweep."""
-
-    name: str
-    #: Keep assignment state in the struct-of-arrays ledger (fast path) or
-    #: in the per-dict scan-oracle twin (``use_soa_state=False``).
-    use_soa_state: bool = True
-    #: The LifeGuard's event-level dispatch placeability gate.
-    use_dispatch_gate: bool = True
-    #: Per-worker RNG-block refill size; ``None`` keeps the platform
-    #: default.  Blocks are a prefetch window, so any size must fingerprint
-    #: identically — boundary cells vary this axis deliberately.
-    draw_block_size: Optional[int] = None
-
-
-#: The state 2x2 grid: {soa, dict-oracle} x {gate on, gate off}.  Every cell
-#: built on this grid proves the struct-of-arrays ledger against the seed
-#: per-dict implementation under both gate regimes.
-STATE_VARIANTS: tuple[StateVariant, ...] = (
-    StateVariant("soa+gate", use_soa_state=True, use_dispatch_gate=True),
-    StateVariant("dict-oracle+gate", use_soa_state=False, use_dispatch_gate=True),
-    StateVariant("soa-ungated", use_soa_state=True, use_dispatch_gate=False),
-    StateVariant("dict-oracle-ungated", use_soa_state=False, use_dispatch_gate=False),
-)
-
-
-def assert_state_equivalent(
-    config: CLAMShellConfig,
-    num_records: int = 60,
-    variants: Sequence[StateVariant] = STATE_VARIANTS,
-    **mitigator_overrides: Any,
-) -> dict[str, dict[str, Any]]:
-    """Run one sweep cell across assignment ledgers and assert no divergence.
-
-    * Behavioural fields must be bit-identical across *all* variants: the
-      two ledgers consume the same per-worker draw blocks, so identity is
-      by construction — this sweep is what makes that claim falsifiable.
-    * Probe counters must be bit-identical across variants sharing a gate
-      setting (ledger layout must never change a gate decision).
-
-    Returns the per-variant fingerprints for cell-specific assertions.
-    """
-    runs = {
-        variant.name: run_fingerprint(
-            config,
-            num_records,
-            use_dispatch_gate=variant.use_dispatch_gate,
-            mitigator_overrides=mitigator_overrides or None,
-            use_soa_state=variant.use_soa_state,
-            draw_block_size=variant.draw_block_size,
-        )
-        for variant in variants
-    }
-    names = [variant.name for variant in variants]
-    reference_name = names[0]
-    reference = behavioural_view(runs[reference_name])
-    for name in names[1:]:
-        assert behavioural_view(runs[name]) == reference, (
-            f"state variant {name!r} diverged behaviourally from "
-            f"{reference_name!r} for config {config.describe()!r}"
-        )
-    by_gate: dict[bool, str] = {}
-    for variant in variants:
-        first = by_gate.setdefault(variant.use_dispatch_gate, variant.name)
-        assert runs[variant.name]["probes"] == runs[first]["probes"], (
-            f"state variant {variant.name!r} made different gate/probe "
-            f"decisions than {first!r} (gate={variant.use_dispatch_gate}) "
-            f"for config {config.describe()!r}"
-        )
-    return runs
 
 
 # -- executor axis: thread pool vs process pool ------------------------------

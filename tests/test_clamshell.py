@@ -33,8 +33,8 @@ class TestConstruction:
 
     def test_build_platform_uses_dataset_classes(self, easy_dataset, small_population):
         system = CLAMShell(dataset=easy_dataset, population=small_population)
-        platform = system.build_platform()
-        assert platform.num_classes == easy_dataset.num_classes
+        system.run_iter(num_records=10)
+        assert system.last_platform.num_classes == easy_dataset.num_classes
 
 
 class TestRun:

@@ -5,9 +5,8 @@ Two layers of claims are pinned here:
 * :class:`~repro.crowd.worker.WorkerDrawBlock` is a pure prefetch window
   over per-worker sequential streams seeded ``[seed, worker_id, stream]``:
   the values a worker sees depend only on the draw index, never on the
-  block size or on how draws batch into refills.  This is what makes the
-  platform's struct-of-arrays fast path and the per-dict oracle ledger
-  bit-identical by construction.
+  block size or on how draws batch into refills, so a run's outcome does
+  not depend on the block size either.
 
 * ``WorkerProfile.draw_latency`` still keeps a scalar fast path for Ng=1
   and a ``size=n`` vectorized path for grouped tasks.  Its docstring used

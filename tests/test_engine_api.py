@@ -296,31 +296,6 @@ class TestWithOverrides:
         assert spec.num_records == 5
 
 
-class TestLegacySubclassHooks:
-    def test_overridden_build_platform_is_still_honoured(self, dataset):
-        calls = []
-
-        class CustomPlatform(CLAMShell):
-            def build_platform(self):
-                calls.append("platform")
-                return create_backend(
-                    "simulated",
-                    population=self.population,
-                    seed=self.config.seed,
-                    num_classes=self.dataset.num_classes,
-                )
-
-        system = CustomPlatform(
-            config=full_clamshell(pool_size=5, seed=0),
-            dataset=dataset,
-            population=make_population(),
-        )
-        result = system.run(num_records=10)
-        assert calls == ["platform"]
-        assert len(result.labels) == 10
-        assert system.last_platform is not None
-
-
 class TestRunWithStats:
     def test_stats_match_the_run(self, dataset):
         from repro.api.engine import ExecutionStats
@@ -367,15 +342,6 @@ class TestRunWithStats:
             first.counters["assignments_started"]
             + second.counters["assignments_started"]
         )
-
-
-class TestDeprecations:
-    def test_build_platform_and_batcher_warn(self, dataset):
-        system = CLAMShell(dataset=dataset, population=make_population())
-        with pytest.deprecated_call():
-            system.build_platform()
-        with pytest.deprecated_call():
-            system.build_batcher()
 
 
 class TestRunManyWithStats:

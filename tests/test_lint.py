@@ -427,20 +427,6 @@ class TestOracleParityCrossFile:
         )
         assert "REPRO-P501" in fired(report)
 
-    def test_platform_module_requires_ledger_registry(self, tmp_path):
-        """The crowd platform owns the SoA assignment-ledger fast path, so
-        dropping its ``_SCAN_TWINS`` registration is itself a finding."""
-        report = lint_source(
-            tmp_path,
-            """
-            class SimulatedCrowdPlatform:
-                def start_assignment(self, task, worker_id):
-                    return None
-            """,
-            module_path="src/repro/crowd/platform.py",
-        )
-        assert "REPRO-P501" in fired(report)
-
     def test_crowd_package_in_scope_for_twin_checks(self, tmp_path):
         report = lint_source(
             tmp_path,

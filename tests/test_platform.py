@@ -1,10 +1,14 @@
 """Unit tests for the simulated crowd platform."""
 
+import functools
+
 import pytest
 
+import repro.crowd.platform
 from repro.crowd.events import EventKind
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.crowd.tasks import Task
+from repro.crowd.worker import WorkerDrawBlock
 
 
 def make_task(task_id=0, num_records=1, votes_required=1):
@@ -237,72 +241,46 @@ class TestSettlement:
         assert platform.pool.total_waiting_seconds() == pytest.approx(500.0)
 
 
-class TestLedgerToggle:
-    """``use_soa_state`` swaps the assignment ledger, nothing else."""
+class TestPlatformDrawBlocks:
+    """Per-worker draw blocks are a prefetch window, not a unit of randomness."""
 
-    def _run_trace(self, population_factory, use_soa_state, draw_block_size=64):
+    def _run_trace(self, population_factory, monkeypatch, block_size=None):
         # Populations are stateful (sampling advances their RNG and id
         # counter), so each replay gets a freshly built one.
-        platform = SimulatedCrowdPlatform(
-            population_factory(),
-            seed=3,
-            use_soa_state=use_soa_state,
-            draw_block_size=draw_block_size,
-        )
-        platform.initialize_pool(5)
-        trace = []
-        for index in range(12):
-            available = platform.pool.available_workers()
-            if not available:
-                platform.queue.pop()
-                continue
-            assignment = platform.start_assignment(
-                make_task(task_id=index, num_records=2), available[0].worker_id
-            )
-            if index % 3 == 2:
-                platform.terminate_assignment(assignment)
-                trace.append(("terminated", assignment.duration))
-            else:
-                platform.queue.pop()
-                labels = platform.complete_assignment(assignment)
-                trace.append(("completed", assignment.duration, tuple(labels)))
+        with monkeypatch.context() as patch:
+            if block_size is not None:
+                patch.setattr(
+                    repro.crowd.platform,
+                    "WorkerDrawBlock",
+                    functools.partial(WorkerDrawBlock, block_size=block_size),
+                )
+            platform = SimulatedCrowdPlatform(population_factory(), seed=3)
+            platform.initialize_pool(5)
+            trace = []
+            for index in range(12):
+                available = platform.pool.available_workers()
+                if not available:
+                    platform.queue.pop()
+                    continue
+                assignment = platform.start_assignment(
+                    make_task(task_id=index, num_records=2), available[0].worker_id
+                )
+                if index % 3 == 2:
+                    platform.terminate_assignment(assignment)
+                    trace.append(("terminated", assignment.duration))
+                else:
+                    platform.queue.pop()
+                    labels = platform.complete_assignment(assignment)
+                    trace.append(("completed", assignment.duration, tuple(labels)))
         trace.append(("now", platform.now))
         trace.append(("counters", str(platform.counters)))
         return trace
 
-    def test_ledgers_replay_identically(self, small_population_factory):
-        soa = self._run_trace(small_population_factory, use_soa_state=True)
-        oracle = self._run_trace(small_population_factory, use_soa_state=False)
-        assert soa == oracle
-
-    def test_block_size_is_not_observable(self, small_population_factory):
+    def test_block_size_is_not_observable(self, small_population_factory, monkeypatch):
         factory = small_population_factory
-        reference = self._run_trace(factory, True, draw_block_size=64)
-        assert self._run_trace(factory, True, draw_block_size=1) == reference
-        assert self._run_trace(factory, True, draw_block_size=1000) == reference
-
-    def test_invalid_block_size_rejected(self, small_population):
-        with pytest.raises(ValueError):
-            SimulatedCrowdPlatform(small_population, draw_block_size=0)
-
-    def test_soa_ledger_rejects_sparse_ids(self, small_population):
-        """The SoA columns rely on dense sequential assignment ids."""
-        from repro.crowd.platform import _SoaAssignmentLedger
-
-        platform = SimulatedCrowdPlatform(small_population, seed=0)
-        platform.initialize_pool(2)
-        assignment = platform.start_assignment(
-            make_task(), platform.pool.worker_ids[0]
-        )
-        fresh = _SoaAssignmentLedger()
-        task = platform.task_for_assignment(assignment)
-        with pytest.raises(ValueError):
-            # The platform's counter has already moved past 0, so recording
-            # this assignment into an empty ledger violates density.
-            assignment_two = platform.start_assignment(
-                make_task(1), platform.pool.worker_ids[1]
-            )
-            fresh.record(assignment_two, task, event=None)
+        reference = self._run_trace(factory, monkeypatch)
+        assert self._run_trace(factory, monkeypatch, block_size=1) == reference
+        assert self._run_trace(factory, monkeypatch, block_size=1000) == reference
 
     def test_departed_worker_block_is_dropped(self, small_population):
         platform = SimulatedCrowdPlatform(small_population, seed=0)

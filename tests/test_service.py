@@ -58,16 +58,24 @@ def request(host, port, method, path, body=None, headers=None):
         conn.close()
 
 
-def read_sse(host, port, path, timeout=120):
-    """Consume a whole SSE response; returns (status, list of data dicts)."""
+def read_sse(host, port, path, timeout=120, opened=None):
+    """Consume a whole SSE response; returns (status, list of data dicts).
+
+    The response must be a 200 stream.  ``opened`` (a ``threading.Event``)
+    is set once the response headers have arrived, i.e. once the server
+    has committed to streaming.
+    """
     conn = http.client.HTTPConnection(host, port, timeout=timeout)
     try:
         conn.request("GET", path)
         response = conn.getresponse()
+        if opened is not None:
+            opened.set()
         status = response.status
         raw = response.read().decode("utf-8")
     finally:
         conn.close()
+    assert status == 200, f"GET {path} answered {status}: {raw!r}"
     frames = []
     for chunk in raw.split("\n\n"):
         if not chunk.strip():
@@ -79,6 +87,43 @@ def read_sse(host, port, path, timeout=120):
         ]
         frames.append(json.loads("\n".join(data_lines)))
     return status, frames
+
+
+class SSEReader(threading.Thread):
+    """Consumes one SSE stream in the background.
+
+    The test thread waits on :meth:`wait_open` before acting on the stream
+    and calls :meth:`finish` to join it; both re-raise whatever the consumer
+    raised, so a failed request cannot pass as a terminated stream.
+    """
+
+    def __init__(self, host, port, path):
+        super().__init__(daemon=True)
+        self._args = (host, port, path)
+        self.opened = threading.Event()
+        self.frames = None
+        self.error = None
+
+    def run(self):
+        try:
+            _, self.frames = read_sse(*self._args, opened=self.opened)
+        except BaseException as error:
+            self.error = error
+            self.opened.set()
+
+    def _raise_error(self):
+        if self.error is not None:
+            raise self.error
+
+    def wait_open(self, timeout=60):
+        assert self.opened.wait(timeout), "SSE response headers never arrived"
+        self._raise_error()
+
+    def finish(self, timeout=30):
+        self.join(timeout)
+        assert not self.is_alive(), "SSE stream did not terminate"
+        self._raise_error()
+        return self.frames
 
 
 @contextmanager
@@ -321,20 +366,14 @@ class TestSSE:
                     body=job_payload(seed=14, backend=backend),
                 )
                 assert started.wait(timeout=60)
-                outcome: dict = {}
-
-                def consume():
-                    outcome["frames"] = read_sse(
-                        host, port, f"/jobs/{submitted['id']}/events"
-                    )[1]
-
-                reader = threading.Thread(target=consume)
+                reader = SSEReader(host, port, f"/jobs/{submitted['id']}/events")
                 reader.start()
+                reader.wait_open()
                 # The job is pinned RUNNING, so the stream cannot end on its
                 # own; close() must wake and terminate it.
                 service.close(wait=False)
-                reader.join(timeout=30)
-                assert not reader.is_alive(), "SSE stream survived close()"
+                frames = reader.finish()
+                assert "run_finished" not in [frame["kind"] for frame in frames]
             finally:
                 release.set()
                 server.shutdown()
@@ -350,16 +389,15 @@ class TestSSE:
             )
             job_id = submitted["id"]
             assert started.wait(timeout=60)
-            outcome: dict = {}
-
-            def consume():
-                outcome["frames"] = read_sse(host, port, f"/jobs/{job_id}/events")[1]
-
-            reader = threading.Thread(target=consume)
+            reader = SSEReader(host, port, f"/jobs/{job_id}/events")
             reader.start()
-            request(host, port, "DELETE", f"/jobs/{job_id}")
-            reader.join(timeout=30)
-            assert not reader.is_alive(), "SSE stream survived DELETE"
+            # DELETE only once the stream is open: sent earlier, it wins the
+            # race and the GET is a 404 instead of a stream to terminate.
+            reader.wait_open()
+            assert request(host, port, "DELETE", f"/jobs/{job_id}")[0] == 200
+            # The job is pinned RUNNING, so only DELETE can end the stream.
+            frames = reader.finish()
+            assert "run_finished" not in [frame["kind"] for frame in frames]
             release.set()
 
     def test_failed_job_ends_stream_with_failure_frame(self, live):
@@ -432,21 +470,17 @@ class TestCoalescedAndPooledStreams:
             service = LabelingService(engine=Engine(max_workers=1))
             server = start_server(service, port=0)
             host, port = server.server_address[:2]
-            frames = []
-            payload = job_payload(seed=23, num_records=10, backend=name)
-            _, submitted, _ = request(host, port, "POST", "/jobs", body=payload)
-            reader = threading.Thread(
-                target=lambda: frames.append(
-                    read_sse(host, port, f"/jobs/{submitted['id']}/events")
-                )
-            )
-            reader.start()
-            assert started.wait(timeout=60), "job never reached the backend"
-            # The reader is now blocked in stream(): no events, job running.
-            service.close(wait=False)
-            reader.join(timeout=60)
-            alive = reader.is_alive()
-            release.set()
-            server.shutdown()
-            server.server_close()
-            assert not alive, "shutdown left the SSE reader blocked"
+            try:
+                payload = job_payload(seed=23, num_records=10, backend=name)
+                _, submitted, _ = request(host, port, "POST", "/jobs", body=payload)
+                reader = SSEReader(host, port, f"/jobs/{submitted['id']}/events")
+                reader.start()
+                assert started.wait(timeout=60), "job never reached the backend"
+                reader.wait_open()
+                # The reader is now blocked in stream(): no events, job running.
+                service.close(wait=False)
+                reader.finish(timeout=60)
+            finally:
+                release.set()
+                server.shutdown()
+                server.server_close()

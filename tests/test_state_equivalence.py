@@ -1,84 +1,108 @@
-"""Equivalence layer: struct-of-arrays assignment state vs the dict oracle.
+"""Equivalence layer: per-worker draw blocks are invisible to the simulation.
 
-The simulated platform keeps assignment bookkeeping in the struct-of-arrays
-:class:`~repro.crowd.platform._SoaAssignmentLedger` (parallel columns keyed
-by dense assignment id) and draws every latency/label value from per-worker
-pre-drawn :class:`~repro.crowd.worker.WorkerDrawBlock` streams.  The seed
-per-dict implementation survives as the registered scan-oracle twin
-(``_DictAssignmentLedger``, reachable via ``use_soa_state=False``), and both
-ledgers consume the same worker streams — so every run must be bit-identical
-across ledgers, gate settings, and RNG-block sizes.  These tests are what
-makes that by-construction claim falsifiable: a mismatch means a ledger
-transition diverged (a stale status byte, a lost event handle, a draw pulled
-from the wrong stream) and would silently change every published benchmark
-number.
+The simulated platform draws every latency/label value from per-worker
+pre-drawn :class:`~repro.crowd.worker.WorkerDrawBlock` streams.  Blocks are
+a prefetch window over per-worker sequential streams, so the block size
+must never change what a run simulates: sizes 1, 3, 64, or 1024 —
+including sizes that do not divide the number of draws, blocks exhausted
+mid-run, and workers replaced mid-block by pool maintenance — must all
+fingerprint identically to the default-block run.  A mismatch means a draw
+was pulled from the wrong stream or a refill shifted it, and would silently
+change every published benchmark number.
 
-Block size gets its own axis because it is the one knob that *looks* like it
-could perturb the stream: blocks are a prefetch window over per-worker
-sequential streams, so ``draw_block_size`` 1, 3, 64, or 1024 — including
-sizes that do not divide the number of draws, blocks exhausted mid-run, and
-workers replaced mid-block by pool maintenance — must all fingerprint
-identically to the dict-oracle reference.
+The platform has no block-size option; these tests set it by patching the
+platform's ``WorkerDrawBlock`` constructor with a ``block_size`` partial.
 
 The sweep classes carry the ``equivalence`` marker so CI can run the sweep
 standalone: ``pytest -m equivalence``.
 """
 
+import functools
+
 import pytest
 
-from equivalence import (
-    STATE_VARIANTS,
-    StateVariant,
-    assert_state_equivalent,
-    behavioural_view,
-    labeling_config,
-    run_fingerprint,
-)
+import repro.crowd.platform
+from equivalence import labeling_config, run_fingerprint
+from repro.crowd.worker import WorkerDrawBlock
+
+#: Block sizes every sweep cell replays against the default-size reference:
+#: one refill per draw, and a block that outlives most workers' draws.
+SWEEP_BLOCK_SIZES = (1, 1024)
+
+
+def run_with_block_size(monkeypatch, config, num_records, block_size):
+    """:func:`run_fingerprint` with every worker stream refilled ``block_size``
+    values at a time."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            repro.crowd.platform,
+            "WorkerDrawBlock",
+            functools.partial(WorkerDrawBlock, block_size=block_size),
+        )
+        return run_fingerprint(config, num_records)
+
+
+def assert_block_size_invariant(
+    monkeypatch, config, num_records=60, block_sizes=SWEEP_BLOCK_SIZES
+):
+    """Every block size must replay the default-block run exactly, probe
+    counters included (same gate setting, so same dispatch decisions)."""
+    reference = run_fingerprint(config, num_records)
+    for block_size in block_sizes:
+        run = run_with_block_size(monkeypatch, config, num_records, block_size)
+        assert run == reference, (
+            f"block size {block_size} diverged from the default block for "
+            f"config {config.describe()!r}"
+        )
 
 
 @pytest.mark.equivalence
 class TestStateSweep:
-    """Seeds x pool sizes x batch configurations, soa vs dict-oracle."""
+    """Seeds x pool sizes x batch configurations, block sizes vs the default."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("pool_size", [3, 9, 17])
-    def test_plain_mitigation(self, seed, pool_size):
-        assert_state_equivalent(labeling_config(pool_size=pool_size, seed=seed))
+    def test_plain_mitigation(self, monkeypatch, seed, pool_size):
+        assert_block_size_invariant(
+            monkeypatch, labeling_config(pool_size=pool_size, seed=seed)
+        )
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("votes_required", [2, 3])
-    def test_quality_control_redundancy(self, seed, votes_required):
-        assert_state_equivalent(
+    def test_quality_control_redundancy(self, monkeypatch, seed, votes_required):
+        assert_block_size_invariant(
+            monkeypatch,
             labeling_config(pool_size=8, votes_required=votes_required, seed=seed),
             num_records=40,
         )
 
     @pytest.mark.parametrize("seed", [0, 4])
-    def test_capped_mitigation(self, seed):
-        """Termination caps exercise ``mark_terminated`` without eviction."""
-        assert_state_equivalent(
-            labeling_config(pool_size=8, max_extra_assignments=1, seed=seed)
+    def test_capped_mitigation(self, monkeypatch, seed):
+        """Termination caps cancel completion events without eviction."""
+        assert_block_size_invariant(
+            monkeypatch,
+            labeling_config(pool_size=8, max_extra_assignments=1, seed=seed),
         )
 
     @pytest.mark.parametrize("seed", [0, 4])
-    def test_grouped_records_per_task(self, seed):
+    def test_grouped_records_per_task(self, monkeypatch, seed):
         """Ng > 1 routes draws through the vectorized block take path."""
-        assert_state_equivalent(
-            labeling_config(pool_size=6, records_per_task=5, seed=seed)
+        assert_block_size_invariant(
+            monkeypatch, labeling_config(pool_size=6, records_per_task=5, seed=seed)
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
-    def test_maintenance_and_abandonment(self, seed):
+    def test_maintenance_and_abandonment(self, monkeypatch, seed):
         """Workers depart mid-run (eviction + abandonment): their draw
-        blocks are dropped mid-stream and replacements open fresh ones —
-        the ledger must still replay the dict oracle event for event."""
-        assert_state_equivalent(
+        blocks are dropped mid-stream and replacements open fresh ones."""
+        assert_block_size_invariant(
+            monkeypatch,
             labeling_config(
                 pool_size=10,
                 maintenance_threshold=8.0,
                 abandonment_rate=0.05,
                 seed=seed,
-            )
+            ),
         )
 
 
@@ -91,36 +115,23 @@ class TestBlockBoundaries:
     #: 1024 outlives most workers' draw counts entirely.
     BLOCK_SIZES = (1, 3, 64, 1024)
 
-    def _reference(self, config, num_records=60, **overrides):
-        return behavioural_view(
-            run_fingerprint(
-                config, num_records, use_soa_state=False, **overrides
-            )
-        )
-
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-    def test_block_size_invariance(self, block_size):
-        """Every block size fingerprints identically to the dict oracle."""
+    def test_block_size_invariance(self, monkeypatch, block_size):
+        """Every block size fingerprints identically to the default block."""
         config = labeling_config(pool_size=9, seed=2)
-        reference = self._reference(config)
-        run = run_fingerprint(
-            config, 60, use_soa_state=True, draw_block_size=block_size
-        )
-        assert behavioural_view(run) == reference
+        run = run_with_block_size(monkeypatch, config, 60, block_size)
+        assert run == run_fingerprint(config, 60)
 
     @pytest.mark.parametrize("block_size", [3, 7])
-    def test_block_not_dividing_draw_count(self, block_size):
+    def test_block_not_dividing_draw_count(self, monkeypatch, block_size):
         """Ng=5 with small odd blocks: every multi-record take straddles a
         refill boundary somewhere in the run."""
         config = labeling_config(pool_size=6, records_per_task=5, seed=4)
-        reference = self._reference(config)
-        run = run_fingerprint(
-            config, 60, use_soa_state=True, draw_block_size=block_size
-        )
-        assert behavioural_view(run) == reference
+        run = run_with_block_size(monkeypatch, config, 60, block_size)
+        assert run == run_fingerprint(config, 60)
 
     @pytest.mark.parametrize("block_size", [1, 2, 64])
-    def test_profile_replaced_mid_block(self, block_size):
+    def test_profile_replaced_mid_block(self, monkeypatch, block_size):
         """Pool maintenance evicts workers with unconsumed block values;
         the replacement's fresh stream must not shift anyone else's."""
         config = labeling_config(
@@ -129,28 +140,20 @@ class TestBlockBoundaries:
             abandonment_rate=0.05,
             seed=5,
         )
-        reference = self._reference(config)
-        run = run_fingerprint(
-            config, 60, use_soa_state=True, draw_block_size=block_size
-        )
-        assert behavioural_view(run) == reference
+        run = run_with_block_size(monkeypatch, config, 60, block_size)
+        assert run == run_fingerprint(config, 60)
 
-    def test_exhausted_block_refill(self):
-        """A run long enough to exhaust the default block repeatedly: the
+    def test_exhausted_block_refill(self, monkeypatch):
+        """A run long enough to exhaust a small block repeatedly: the
         refill path itself is stream-transparent."""
         config = labeling_config(pool_size=3, seed=1)
-        reference = self._reference(config, num_records=120)
-        run = run_fingerprint(
-            config, 120, use_soa_state=True, draw_block_size=4
-        )
-        assert behavioural_view(run) == reference
+        run = run_with_block_size(monkeypatch, config, 120, 4)
+        assert run == run_fingerprint(config, 120)
 
-    def test_block_size_axis_inside_state_sweep(self):
-        """The variant grid itself can carry the block-size axis."""
-        variants = tuple(STATE_VARIANTS) + (
-            StateVariant("soa-tiny-blocks", use_soa_state=True, draw_block_size=1),
-            StateVariant("soa-huge-blocks", use_soa_state=True, draw_block_size=1024),
-        )
-        assert_state_equivalent(
-            labeling_config(pool_size=8, seed=3), variants=variants
+    def test_block_size_axis_inside_state_sweep(self, monkeypatch):
+        """The sweep helper carries any list of block sizes."""
+        assert_block_size_invariant(
+            monkeypatch,
+            labeling_config(pool_size=8, seed=3),
+            block_sizes=(1, 2, 3, 1024),
         )
