@@ -156,15 +156,21 @@ def _check_identical_outcomes(
                 f"MISMATCH: cost counter {key!r} differs for the same seed "
                 f"({old} vs {new})"
             )
-    # Dispatch probe counters are diagnostics: the placeability gate changes
-    # probe volume *by design* without touching simulated behaviour, so a
-    # difference here (e.g. gate-on vs gate-off documents, or a baseline
-    # predating the counters) is reported but never fails the comparison.
+    # Dispatch probe counters are deterministic for a seed, so they are
+    # gated like the cost counters.  A baseline predating the section only
+    # gets a note.
     baseline_dispatch = dict(baseline.get("dispatch") or {})
     current_dispatch = dict(current.get("dispatch") or {})
     if baseline_dispatch != current_dispatch:
-        report.messages.append(
-            "note: dispatch probe counters differ "
-            f"({baseline_dispatch or 'absent'} vs {current_dispatch or 'absent'}); "
-            "diagnostic only, not gated"
-        )
+        if baseline_dispatch and current_dispatch:
+            report.passed = False
+            report.messages.append(
+                "MISMATCH: dispatch probe counters differ for the same seed "
+                f"({baseline_dispatch} vs {current_dispatch})"
+            )
+        else:
+            report.messages.append(
+                "note: dispatch probe counters differ "
+                f"({baseline_dispatch or 'absent'} vs "
+                f"{current_dispatch or 'absent'}); not gated without both"
+            )

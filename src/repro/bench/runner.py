@@ -111,11 +111,9 @@ class BenchmarkResult:
         """The stable JSON document (see module docstring)."""
         cost = {"total_dollars": round(self.outcome.cost, 6)}
         counters = self.outcome.counters
-        # Dispatch-probe counters are diagnostics, not monetary quantities:
-        # they get their own section so the strict comparator's cost check
-        # keeps meaning "same simulated behaviour" while gate-on/gate-off
-        # documents remain comparable (probe volume is exactly what the
-        # placeability gate is supposed to change).
+        # Dispatch-probe counters count the dispatch loop's work, not
+        # anything the crowd is paid for, so they get their own section;
+        # the strict comparator gates them separately from the cost check.
         dispatch = {
             key: counters[key] for key in sorted(counters) if key.startswith("probes_")
         }

@@ -51,18 +51,13 @@ def _execute(
     population: Optional[WorkerPopulation] = None,
     max_batches: int = 1000,
     use_index: bool = True,
-    use_dispatch_gate: bool = True,
 ) -> ExecutionStats:
     """One run through the engine, returning its simulator-side stats.
 
     ``use_index=False`` runs the same spec with the straggler mitigator's
     incremental active-task index disabled, so dispatch is served by the
     brute-force ``pick_task_scan`` oracle — the reference the capped
-    baselines are proven bit-identical against.  ``use_dispatch_gate=False``
-    disables the LifeGuard's event-level placeability gate, probing every
-    available worker per event like the pre-gate code — the "before" arm of
-    the gate baselines (bit-identical labels and cost counters, only probe
-    volume and wall time differ).
+    baselines are proven bit-identical against.
     """
     spec = JobSpec(
         dataset=dataset,
@@ -76,10 +71,9 @@ def _execute(
         num_records=num_records,
         max_batches=max_batches,
     )
-    if not use_index or not use_dispatch_gate:
+    if not use_index:
         platform, batcher = build_run(spec)
-        batcher.lifeguard.mitigator.use_index = use_index
-        batcher.lifeguard.use_dispatch_gate = use_dispatch_gate
+        batcher.lifeguard.mitigator.use_index = False
         result = drain_stream(
             batcher.run_iter(num_records=num_records, max_batches=max_batches)
         )
@@ -238,7 +232,6 @@ def scale_workload(
     sweep: Sequence[Sequence[int]] = SCALE_SWEEP,
     max_extra_assignments: Optional[int] = None,
     use_index: bool = True,
-    use_dispatch_gate: bool = True,
 ) -> WorkloadOutcome:
     """Simulator hot-path stress: big pools, thousands of tasks, no learner.
 
@@ -246,9 +239,7 @@ def scale_workload(
     ``scale_capped`` registration runs this very sweep with a cap, cutting
     the assignment tail severalfold at the 1000-worker tier);
     ``use_index=False`` serves dispatch from the brute-force scan oracle
-    instead of the incremental index, and ``use_dispatch_gate=False``
-    disables the event-level placeability gate over the probe loop — both
-    for bit-identical-behaviour baselines.
+    instead of the incremental index, for bit-identical-behaviour baselines.
     """
     stats = []
     points = []
@@ -267,7 +258,6 @@ def scale_workload(
             dataset,
             num_records,
             use_index=use_index,
-            use_dispatch_gate=use_dispatch_gate,
         )
         stats.append(run_stats)
         points.append(
@@ -300,7 +290,6 @@ def scale_workload(
         # mitigation latency win kept.
         "max_extra_assignments": 2,
         "use_index": True,
-        "use_dispatch_gate": True,
     },
 )
 def scale_capped_workload(
@@ -308,7 +297,6 @@ def scale_capped_workload(
     sweep: Sequence[Sequence[int]] = SCALE_SWEEP,
     max_extra_assignments: Optional[int] = 2,
     use_index: bool = True,
-    use_dispatch_gate: bool = True,
 ) -> WorkloadOutcome:
     """The ``scale`` sweep with the §4.1 duplicate cap enabled.
 
@@ -320,15 +308,13 @@ def scale_capped_workload(
     placeability gate's home turf (most dispatch probes are futile without
     it).  Run with ``--param use_index=false`` to regenerate the
     scan-oracle twin that proves the capped fast path is
-    behaviour-identical, and with ``--param use_dispatch_gate=false`` for
-    the ungated "before" arm of the gate baselines.
+    behaviour-identical.
     """
     return scale_workload(
         seed=seed,
         sweep=sweep,
         max_extra_assignments=max_extra_assignments,
         use_index=use_index,
-        use_dispatch_gate=use_dispatch_gate,
     )
 
 

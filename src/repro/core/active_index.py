@@ -42,9 +42,7 @@ active counts, per-worker involvement) is identical to what the brute-force
 scan would compute from the task objects — so the mitigator draws the same
 random index over the same candidate count and every seed reproduces
 bit-identical labels and cost counters.  ``tests/test_mitigator_equivalence``
-holds this property over seeds × pool sizes × batch configurations, and
-``tests/test_state_equivalence`` holds the observer-invisibility of the
-platform's ledger swap over the same kind of sweep.
+holds this property over seeds × pool sizes × batch configurations.
 """
 
 from __future__ import annotations
@@ -244,7 +242,7 @@ class ActiveTaskIndex:
         Zero is exact and worker-independent: when this returns 0, a probe
         for *any* available worker provably returns ``None`` without
         consuming the RNG stream, which is what lets the LifeGuard's
-        event-level gate skip the probe loop wholesale.  Positive values are
+        dispatch sweep stop without probing.  Positive values are
         an upper bound (per-worker involvement under quality control, and
         starved tasks also being duplicable, can make the true number of
         servable probes smaller), so callers must only trust the zero test.

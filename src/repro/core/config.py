@@ -93,12 +93,12 @@ class CLAMShellConfig:
     #: means unlimited; 0 disables duplication entirely (idle workers only
     #: revive starved or under-provisioned tasks).
     max_extra_assignments: Optional[int] = None
-    #: Event-level placeability gate over the LifeGuard's dispatch probe
-    #: loop.  Off only for the ungated "before" arm of the gate baselines
-    #: and equivalence sweeps (bit-identical labels and counters either way;
-    #: only probe volume and wall time differ).  A config field — rather
-    #: than a post-build attribute poke — so the setting survives the trip
-    #: into a process-pool worker.
+    #: Placeability rules that end the LifeGuard's dispatch sweep once no
+    #: probe can place work.  Off only for the ungated reference runs of the
+    #: equivalence sweeps (bit-identical labels and cost counters either
+    #: way; only probe volume and wall time differ).  A config field —
+    #: rather than a post-build attribute poke — so the setting survives the
+    #: trip into a process-pool worker.
     use_dispatch_gate: bool = True
 
     # --- maintenance -----------------------------------------------------------------

@@ -20,75 +20,6 @@ from .mitigator import StragglerMitigator
 from .quality import majority_vote
 
 
-class DispatchGate:
-    """Event-level placeability gate for the dispatch probe loop.
-
-    The LifeGuard probes ``mitigator.pick_task`` once per available worker
-    after every simulation event.  Once mitigation saturates — every task
-    assigned, nothing starved, every duplicate cap reached — all of those
-    probes provably return ``None`` until some lifecycle event changes
-    placeability, yet the ungated loop kept paying for them (1.36M probes
-    for 8k events at the 1000-worker capped tier, ~85% of tier wall time).
-
-    The gate remembers the proof: it *closes* when the LifeGuard shows no
-    probe can place work (``placeable_count`` is zero, or — for batches
-    without quality control, where placeability is worker-independent — a
-    probe just returned ``None``), and *re-arms* on exactly the callbacks
-    that can create placeable work:
-
-    * an assignment completing or being terminated (active counts drop, so
-      a task may become starved or fall back under its duplicate cap) —
-      delivered through the platform's assignment-observer hooks, which
-      also cover platform-internal terminations (maintenance evictions,
-      abandonment-driven churn) the LifeGuard never sees directly;
-    * an assignment starting (a fresh duplication target appears);
-    * consensus completing a task (its losing replicas are about to be
-      terminated) — via :meth:`task_completed`;
-    * the pool being refilled (a previously unservable batch may now have
-      takers) — via :meth:`pool_refilled`.
-
-    Skipping a closed gate is RNG-stream-invisible: futile probes never
-    draw from the mitigator's RNG, so the gated run's labels and cost
-    counters are bit-identical to the ungated run's (held by the gate
-    on/off cells in ``tests/equivalence.py``).
-    """
-
-    __slots__ = ("armed",)
-
-    def __init__(self) -> None:
-        #: Armed means dispatch must probe; closed means every probe is
-        #: provably futile until a re-arming callback fires.
-        self.armed = True
-
-    def close(self) -> None:
-        self.armed = False
-
-    def rearm(self) -> None:
-        self.armed = True
-
-    # -- platform assignment observer hooks ---------------------------------
-
-    def assignment_started(self, task, assignment) -> None:
-        self.armed = True
-
-    def assignment_completed(self, task, assignment) -> None:
-        self.armed = True
-
-    def assignment_terminated(self, task, assignment) -> None:
-        self.armed = True
-
-    # -- LifeGuard notifications --------------------------------------------
-
-    def task_completed(self, task) -> None:
-        """Consensus reached: losing replicas will free workers and tasks."""
-        self.armed = True
-
-    def pool_refilled(self, workers_added: int) -> None:
-        """Workers were seated; re-arm only if the pool actually grew."""
-        if workers_added > 0:
-            self.armed = True
-
-
 @dataclass(frozen=True)
 class AssignmentRecord:
     """Flattened view of one assignment, for the Figure-13 timeline."""
@@ -147,11 +78,11 @@ class LifeGuard:
         ``maintain_during_batch`` matches the paper's "asynchronously as
         labeling proceeds" behaviour; when false, maintenance only runs
         between batches.  ``pool_target_size`` is used to refill the pool
-        after abandonment.  ``use_dispatch_gate`` enables the event-level
-        :class:`DispatchGate` over the probe loop (disabled only by the
-        equivalence tests and the gate-off benchmark baselines; requires a
-        backend with assignment-observer support, and silently degrades to
-        ungated probing otherwise).
+        after abandonment.  ``use_dispatch_gate`` turns on the placeability
+        rules that end a dispatch sweep once no probe can place work (see
+        :meth:`_dispatch_available_workers`); off, every sweep probes every
+        available worker.  The rules skip only probes that could never
+        succeed, so both settings simulate bit-identical runs.
         """
         self.platform = platform
         self.mitigator = mitigator
@@ -159,7 +90,6 @@ class LifeGuard:
         self.maintain_during_batch = maintain_during_batch
         self.pool_target_size = pool_target_size
         self.use_dispatch_gate = use_dispatch_gate
-        self._gate: Optional[DispatchGate] = None
 
     # -- public API -----------------------------------------------------------
 
@@ -170,27 +100,12 @@ class LifeGuard:
         # platform's assignment observers keeping per-task counts and
         # per-worker involvement exact (maintenance terminates assignments
         # from inside replace_worker, a path this loop never touches).
-        # Backends predating the observer hooks can't feed the index, so
-        # they keep the brute-force scan path instead of crashing.
-        index = None
-        gate = None
-        if hasattr(self.platform, "add_assignment_observer"):
-            index = self.mitigator.begin_batch(batch)
-            if self.use_dispatch_gate:
-                # The gate needs the same exact lifecycle stream the index
-                # does (platform-internal terminations included), so it is
-                # only safe on observer-capable backends.
-                gate = DispatchGate()
-                self.platform.add_assignment_observer(gate)
+        index = self.mitigator.begin_batch(batch)
         if index is not None:
             self.platform.add_assignment_observer(index)
-        self._gate = gate
         try:
             return self._run_batch_inner(batch, batch_index)
         finally:
-            self._gate = None
-            if gate is not None:
-                self.platform.remove_assignment_observer(gate)
             if index is not None:
                 self.platform.remove_assignment_observer(index)
             self.mitigator.end_batch()
@@ -253,17 +168,13 @@ class LifeGuard:
                 if not was_complete:
                     tasks_remaining -= 1
                     self.mitigator.note_task_complete(task)
-                    if self._gate is not None:
-                        self._gate.task_completed(task)
                 self._terminate_losing_assignments(task, assignment.duration)
                 outcome.completion_times.append((platform.now, task.num_records))
                 consensus_by_task[task.task_id] = self._aggregate_task_labels(task)
             if self.maintainer is not None and self.maintain_during_batch:
                 self.maintainer.maintain(platform, batch_index=batch_index)
             if self.pool_target_size is not None:
-                added = platform.refill_pool(self.pool_target_size)
-                if self._gate is not None:
-                    self._gate.pool_refilled(added)
+                platform.refill_pool(self.pool_target_size)
             self._dispatch_available_workers(batch)
 
         batch.completed_at = platform.now
@@ -312,34 +223,29 @@ class LifeGuard:
 
     # -- internals ---------------------------------------------------------------
 
-    def _dispatch_available_workers(self, batch: Batch) -> None:
+    def _dispatch_available_workers(self, batch: Batch) -> bool:
         """Give every available worker a task, per the mitigation policy.
 
-        With the :class:`DispatchGate` active, the probe loop runs only when
-        something is provably placeable: a closed gate skips the sweep
-        outright, an armed gate first checks ``placeable_count`` (O(1) on
-        the indexed path) and closes without probing when it is zero, and —
-        for batches without quality control, where a probe's outcome is
-        worker-independent — the first ``None`` probe closes the gate and
-        ends the sweep, because every remaining probe must also return
-        ``None``.  Skipped probes never touched the RNG, so the gated and
-        ungated runs are bit-identical in labels and cost counters.
+        With ``use_dispatch_gate`` on, the sweep stops as soon as no probe
+        can place work: when ``placeable_count`` is zero (O(1) on the
+        indexed path), and — for batches without quality control, where a
+        probe's outcome is worker-independent — at the first ``None`` probe,
+        because every remaining probe must also return ``None``.  Skipped
+        probes never touch the RNG, so the run is bit-identical to an
+        ungated one in labels and cost counters.  Returns whether the sweep
+        stopped on such a proof.
         """
         platform = self.platform
         counters = platform.counters
         mitigator = self.mitigator
-        gate = self._gate
-        quality_controlled = batch.quality_controlled
+        gated = self.use_dispatch_gate
+        stop_on_futile_probe = gated and not batch.quality_controlled
         while True:
             available = platform.pool.available_workers()
             if not available:
-                return
-            if gate is not None:
-                if not gate.armed:
-                    return
-                if mitigator.placeable_count(batch) == 0:
-                    gate.close()
-                    return
+                return False
+            if gated and mitigator.placeable_count(batch) == 0:
+                return True
             assigned_any = False
             for slot in available:
                 counters.probes_attempted += 1
@@ -348,18 +254,15 @@ class LifeGuard:
                 )
                 if task is None:
                     counters.probes_futile += 1
-                    if gate is not None and not quality_controlled:
-                        # Worker-independent regime: this probe's failure
-                        # proves the rest of the sweep futile.  (Under
-                        # quality control the per-worker involvement filter
-                        # means another worker may still be servable.)
-                        gate.close()
-                        break
+                    if stop_on_futile_probe:
+                        # Under quality control the per-worker involvement
+                        # filter means another worker may still be servable.
+                        return True
                     continue
                 platform.start_assignment(task, slot.worker_id)
                 assigned_any = True
             if not assigned_any:
-                return
+                return False
 
     def _terminate_losing_assignments(self, task: Task, winner_duration: float) -> None:
         """Cancel the remaining active replicas of a just-completed task."""
@@ -379,14 +282,10 @@ class LifeGuard:
         assignment was started.
         """
         platform = self.platform
-        if self._gate is not None:
-            # Cold path: force a full probe sweep so the stall diagnosis
-            # below never blames a closed gate for an undispatchable batch.
-            self._gate.rearm()
         if self.pool_target_size is not None:
             platform.refill_pool(self.pool_target_size)
         before = platform.counters.assignments_started
-        self._dispatch_available_workers(batch)
+        proved_futile = self._dispatch_available_workers(batch)
         if platform.counters.assignments_started > before:
             return True
 
@@ -404,9 +303,10 @@ class LifeGuard:
             added = platform.refill_pool(
                 len(platform.pool) + 1, as_replacements=False
             )
-        if self._gate is not None:
-            self._gate.pool_refilled(added)
-        self._dispatch_available_workers(batch)
+        # Nothing started, so placeability changed only if a worker was
+        # seated; a sweep that proved every probe futile need not rerun.
+        if added > 0 or not proved_futile:
+            self._dispatch_available_workers(batch)
         return platform.counters.assignments_started > before
 
     @staticmethod

@@ -145,7 +145,7 @@ class StragglerMitigator:
         extra = task.num_active_assignments - outstanding
         return extra < self.max_extra_assignments
 
-    # -- placeability (the LifeGuard's event-level dispatch gate) ------------------
+    # -- placeability (the LifeGuard's dispatch sweep rules) -----------------------
 
     def placeable_count(self, batch: Batch) -> int:
         """Upper bound on the placement opportunities the next probe could serve.

@@ -61,7 +61,7 @@ class PlatformCounters:
     every probe that found nothing placeable (``probes_futile``).  The
     invariant ``probes_attempted == assignments_started + probes_futile``
     always holds, and the benchmark schema surfaces the pair under its own
-    ``dispatch`` section so the event-level placeability gate's effect is a
+    ``dispatch`` section so the dispatch placeability rules' effect is a
     first-class metric instead of being inferred from wall time.
     """
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .worker import WorkerObservations, WorkerProfile
@@ -31,6 +32,8 @@ class Slot:
     """One retainer slot occupied by a worker."""
 
     worker: WorkerProfile
+    #: Seating order within the pool, issued by :meth:`RetainerPool.add_worker`.
+    seat: int = 0
     state: SlotState = SlotState.AVAILABLE
     joined_at: float = 0.0
     #: Id of the assignment the worker is currently working on, if active.
@@ -59,6 +62,9 @@ class Slot:
         return self.state == SlotState.AVAILABLE
 
 
+_seat_of = attrgetter("seat")
+
+
 class RetainerPool:
     """The set of retainer slots currently held on the crowd platform."""
 
@@ -68,15 +74,14 @@ class RetainerPool:
         #: Workers who have left (evicted or abandoned), kept for accounting.
         self._departed_slots: list[Slot] = []
         self._departed_observations: list[WorkerObservations] = []
-        #: Ascending ids of currently-available workers.  Valid as the fast
-        #: path for :meth:`available_workers` only while slot insertion has
-        #: been in ascending id order (true for every recruiter-driven pool:
-        #: population ids are handed out monotonically), because then the
-        #: legacy full-dict scan and the ascending-id walk return slots in
-        #: the same order — and dispatch order is behaviour, not just speed.
-        self._available_ids: list[int] = []
-        self._ids_monotonic = True
-        self._max_id_seen = -1
+        #: Seat numbers are issued once per :meth:`add_worker` call, so
+        #: ascending seat order is seating order.  Worker ids need not be
+        #: ascending: the background reserve seats a later-recruited worker
+        #: first when their recruitment latency is shorter.
+        self._next_seat = 0
+        #: Currently-available slots in ascending seat order — the order
+        #: :meth:`available_workers` returns, which is dispatch order.
+        self._available: list[Slot] = []
 
     # -- membership ---------------------------------------------------------
 
@@ -116,16 +121,13 @@ class RetainerPool:
         """Seat ``worker`` in a new available slot at time ``now``."""
         if worker.worker_id in self._slots:
             raise ValueError(f"worker {worker.worker_id} is already in the pool")
-        slot = Slot(worker=worker, joined_at=now, available_since=now)
+        slot = Slot(
+            worker=worker, seat=self._next_seat, joined_at=now, available_since=now
+        )
+        self._next_seat += 1
         self._slots[worker.worker_id] = slot
         self._observations[worker.worker_id] = WorkerObservations(worker.worker_id)
-        if worker.worker_id <= self._max_id_seen:
-            # Insertion out of ascending-id order (hand-built pools): the
-            # available-id fast path would reorder dispatch, so disable it.
-            self._ids_monotonic = False
-        else:
-            self._max_id_seen = worker.worker_id
-        insort(self._available_ids, worker.worker_id)
+        self._available.append(slot)
         return slot
 
     def remove_worker(self, worker_id: int, now: float) -> Slot:
@@ -135,7 +137,7 @@ class RetainerPool:
         slot = self._slots.pop(worker_id)
         if slot.state == SlotState.AVAILABLE:
             slot.waiting_seconds += max(0.0, now - slot.available_since)
-            self._discard_available_id(worker_id)
+            self._discard_available(slot)
         self._departed_slots.append(slot)
         self._departed_observations.append(self._observations.pop(worker_id))
         return slot
@@ -143,20 +145,19 @@ class RetainerPool:
     # -- availability -------------------------------------------------------
 
     def available_workers(self) -> list[Slot]:
-        # Fast path: walk the incrementally-maintained ascending-id list
-        # instead of scanning every slot per simulation event (the scan was
-        # a top-three profile entry at 1000-worker pools).  Identical order
-        # to the legacy dict scan while insertion stayed ascending.
-        if self._ids_monotonic:
-            slots = self._slots
-            return [slots[worker_id] for worker_id in self._available_ids]
-        return [s for s in self._slots.values() if s.state is SlotState.AVAILABLE]
+        """Available slots in seating order.
+
+        Copies the incrementally maintained available list instead of
+        scanning every slot per simulation event (the scan was a top-three
+        profile entry at 1000-worker pools).
+        """
+        return list(self._available)
 
     def active_workers(self) -> list[Slot]:
         return [s for s in self._slots.values() if s.state == SlotState.ACTIVE]
 
     def num_available(self) -> int:
-        return len(self._available_ids)
+        return len(self._available)
 
     def mark_active(self, worker_id: int, assignment_id: int, now: float) -> None:
         """Transition a slot from available to active, accruing waiting time."""
@@ -166,7 +167,7 @@ class RetainerPool:
         slot.waiting_seconds += max(0.0, now - slot.available_since)
         slot.state = SlotState.ACTIVE
         slot.current_assignment_id = assignment_id
-        self._discard_available_id(worker_id)
+        self._discard_available(slot)
 
     def mark_available(
         self, worker_id: int, now: float, worked_seconds: float, completed: bool
@@ -186,13 +187,13 @@ class RetainerPool:
         slot.working_seconds += max(0.0, worked_seconds)
         if completed:
             slot.tasks_completed += 1
-        insort(self._available_ids, worker_id)
+        insort(self._available, slot, key=_seat_of)
 
-    def _discard_available_id(self, worker_id: int) -> None:
-        ids = self._available_ids
-        index = bisect_left(ids, worker_id)
-        if index < len(ids) and ids[index] == worker_id:
-            ids.pop(index)
+    def _discard_available(self, slot: Slot) -> None:
+        available = self._available
+        index = bisect_left(available, slot.seat, key=_seat_of)
+        if index < len(available) and available[index] is slot:
+            available.pop(index)
 
     # -- observations (for maintenance / TermEst) ----------------------------
 

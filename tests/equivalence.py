@@ -4,7 +4,7 @@ The simulator's optimisations all carry the same contract: they must change
 *how fast* a run executes, never *what* it simulates.  Concretely, for any
 seed, pool size, and batch configuration, every execution variant — the
 incremental active-task index vs the brute-force candidate scan, the
-event-level dispatch gate on vs off, the thread vs process executor — must
+dispatch placeability rules on vs off, the thread vs process executor — must
 produce bit-identical labels, platform cost counters, simulation clocks, and
 dollar costs: same RNG stream, same assignment-by-assignment schedule.
 
@@ -55,7 +55,7 @@ class Variant:
     #: Serve dispatch from the incremental ActiveTaskIndex (fast path) or
     #: from the brute-force ``pick_task_scan`` (the reference oracle).
     use_index: bool = True
-    #: Enable the LifeGuard's event-level dispatch placeability gate.
+    #: Enable the placeability rules of the LifeGuard's dispatch sweep.
     use_dispatch_gate: bool = True
 
 
@@ -159,8 +159,9 @@ class ExecutorVariant:
     #: runs it in a shared-nothing child process with coalesced event
     #: batches replayed over a pipe.
     executor: str = "thread"
-    #: The LifeGuard's event-level placeability gate, carried through the
-    #: config so the setting survives the trip into a worker process.
+    #: The placeability rules of the LifeGuard's dispatch sweep, carried
+    #: through the config so the setting survives the trip into a worker
+    #: process.
     use_dispatch_gate: bool = True
 
 

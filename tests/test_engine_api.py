@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import threading
 
 import pytest
@@ -384,11 +387,11 @@ class TestRunManyWithStats:
         assert stats.labels == 15
 
 
-class TestLegacyBackendWithoutObservers:
-    def test_backend_lacking_observer_hooks_falls_back_to_scan(self, dataset):
-        """Backends written against the pre-observer CrowdBackend protocol
-        must keep working: the LifeGuard skips the active-task index (brute
-        scan path) instead of crashing on the missing hooks."""
+class TestBackendWithoutObservers:
+    def test_backend_lacking_observer_hooks_fails_the_run(self, dataset):
+        """The observer hooks are a required part of the CrowdBackend
+        protocol: a backend without them fails the run loudly instead of
+        silently dispatching down a different path."""
 
         class MinimalBackend:
             def __init__(self, **kwargs):
@@ -399,21 +402,18 @@ class TestLegacyBackendWithoutObservers:
                     raise AttributeError(name)
                 return getattr(self._inner, name)
 
-        register_backend("minimal-legacy", MinimalBackend)
+        register_backend("minimal-no-observers", MinimalBackend)
         try:
             spec = JobSpec(
                 dataset=dataset,
                 config=full_clamshell(pool_size=4, seed=0),
                 num_records=10,
-                backend="minimal-legacy",
+                backend="minimal-no-observers",
             )
-            legacy_result = Engine().run(spec)
-            modern_result = Engine().run(spec.with_overrides(backend="simulated"))
+            with pytest.raises(AttributeError, match="add_assignment_observer"):
+                Engine().run(spec)
         finally:
-            unregister_backend("minimal-legacy")
-        assert legacy_result.metrics.records_labeled == 10
-        # Scan and indexed paths agree, so the backends' results match too.
-        assert legacy_result.labels == modern_result.labels
+            unregister_backend("minimal-no-observers")
 
 
 class TestCoalescedEmission:
@@ -526,6 +526,51 @@ class TestProcessExecutor:
             job.result(timeout=300)
             assert job.executor == "thread"
             assert job.platform is not None  # ran in-process
+
+    def test_killed_child_fails_the_job_and_ends_its_streams(self):
+        """A child process SIGKILLed mid-run must fail its job with the exit
+        code, and a consumer blocked in ``stream()`` must get that error
+        instead of hanging."""
+        # Several seconds of work, so the kill lands well before the end.
+        spec = JobSpec(
+            dataset=make_classification(n_samples=2000, n_features=12, seed=1),
+            config=full_clamshell(pool_size=4, seed=0),
+            num_records=2000,
+            name="proc-job-killed",
+        )
+        streamed = threading.Event()
+        outcome: dict[str, RuntimeError] = {}
+
+        def consume(job):
+            try:
+                for _ in job.stream():
+                    streamed.set()
+            except RuntimeError as error:
+                outcome["error"] = error
+            finally:
+                streamed.set()
+
+        with Engine(max_workers=1, executor="process", emit_batch_size=1) as engine:
+            job = engine.submit(spec)
+            consumer = threading.Thread(target=consume, args=(job,), daemon=True)
+            consumer.start()
+            assert streamed.wait(timeout=120)
+            assert not job.done
+            children = [
+                child
+                for child in multiprocessing.active_children()
+                if child.name == f"repro-worker-{job.job_id}"
+            ]
+            assert len(children) == 1
+            os.kill(children[0].pid, signal.SIGKILL)
+
+            assert job.wait(timeout=120) is JobStatus.FAILED
+            with pytest.raises(RuntimeError, match="exit code -9"):
+                job.result(timeout=0)
+            consumer.join(timeout=60)
+            assert not consumer.is_alive()
+        assert isinstance(outcome.get("error"), RuntimeError)
+        assert "exit code -9" in str(outcome["error"])
 
     def test_unknown_executor_rejected_up_front(self, dataset):
         with pytest.raises(ValueError, match="unknown executor"):

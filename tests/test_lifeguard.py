@@ -5,10 +5,11 @@ import dataclasses
 import pytest
 
 from repro.core.config import StragglerRoutingPolicy
-from repro.core.lifeguard import DispatchGate, LifeGuard
+from repro.core.lifeguard import LifeGuard
 from repro.core.maintainer import MaintenancePolicy, PoolMaintainer
 from repro.core.mitigator import StragglerMitigator
 from repro.crowd.platform import SimulatedCrowdPlatform
+from repro.crowd.recruitment import BackgroundReserve
 from repro.crowd.tasks import Batch, TaskFactory
 from repro.crowd.worker import WorkerPopulation, WorkerProfile
 
@@ -206,51 +207,6 @@ class TestMaintenanceIntegration:
         assert outcome.workers_replaced > 0
 
 
-class TestDispatchGateUnit:
-    """Re-arm semantics of the gate itself: every mutating callback must
-    re-open a closed gate, and nothing else may."""
-
-    def test_starts_armed(self):
-        assert DispatchGate().armed
-
-    def test_close_and_rearm(self):
-        gate = DispatchGate()
-        gate.close()
-        assert not gate.armed
-        gate.rearm()
-        assert gate.armed
-
-    @pytest.mark.parametrize(
-        "callback",
-        ["assignment_started", "assignment_completed", "assignment_terminated"],
-    )
-    def test_assignment_observer_callbacks_rearm(self, callback):
-        gate = DispatchGate()
-        gate.close()
-        getattr(gate, callback)(task=None, assignment=None)
-        assert gate.armed
-
-    def test_consensus_completion_rearms(self):
-        gate = DispatchGate()
-        gate.close()
-        gate.task_completed(task=None)
-        assert gate.armed
-
-    def test_pool_refill_rearms_only_when_workers_were_seated(self):
-        gate = DispatchGate()
-        gate.close()
-        gate.pool_refilled(0)
-        assert not gate.armed
-        gate.pool_refilled(2)
-        assert gate.armed
-
-    def test_stays_closed_without_callbacks(self):
-        gate = DispatchGate()
-        gate.close()
-        assert not gate.armed
-        assert not gate.armed  # reading must not re-arm
-
-
 def outcome_fingerprint(platform, outcome):
     """Everything a gate setting must not change about a batch run."""
     counters = dataclasses.asdict(platform.counters)
@@ -299,10 +255,10 @@ class TestDispatchGateIntegration:
         assert gated[1] < ungated[1]
         assert gated[2] < ungated[2]
 
-    def test_gate_with_legacy_scan_path_and_non_monotonic_pool(self):
-        """Hand-built pool seated out of id order: availability falls back
-        to the legacy dict scan and dispatch to ``pick_task_scan``; the
-        scan-path gate must still be behaviour-invisible."""
+    def test_gate_with_scan_dispatch_and_out_of_order_pool(self):
+        """Hand-built pool seated out of id order, dispatch served by
+        ``pick_task_scan``: the placeability rules must still be
+        behaviour-invisible."""
 
         def run(use_gate):
             profiles = [
@@ -316,7 +272,6 @@ class TestDispatchGateIntegration:
             platform = SimulatedCrowdPlatform(population, seed=0)
             for profile in profiles:
                 platform.pool.add_worker(profile, now=0.0)
-            assert not platform.pool._ids_monotonic
             guard = lifeguard_for(platform, use_dispatch_gate=use_gate)
             guard.mitigator.use_index = False
             guard.mitigator.max_extra_assignments = 1
@@ -331,9 +286,9 @@ class TestDispatchGateIntegration:
     ):
         """Pin: a worker freed *during* an event's processing (their replica
         lost and ``termination_overhead_seconds`` is zero) is picked up by
-        that same event's dispatch sweep, at the same timestamp — the gate
-        must re-arm on the termination rather than defer the worker to the
-        next event.  Identical with and without the gate."""
+        that same event's dispatch sweep, at the same timestamp, rather
+        than deferred to the next event.  Identical with and without the
+        gate."""
         profiles = [
             WorkerProfile(worker_id=0, mean_latency=3.0, latency_std=0.5,
                           accuracy=0.95),
@@ -375,7 +330,7 @@ class TestDispatchGateIntegration:
         assert second.started_at == first.terminated_at
 
     def test_gate_reset_between_batches(self):
-        """A gate closed at the end of one batch must not leak into the
+        """A sweep stopped at the end of one batch must not hold back the
         next batch on the same LifeGuard."""
         platform = build_platform(6, seed=6)
         guard = lifeguard_for(platform)
@@ -387,8 +342,8 @@ class TestDispatchGateIntegration:
 
     def test_gate_disabled_matches_pre_gate_probe_volume(self):
         """``use_dispatch_gate=False`` restores exhaustive probing: every
-        event probes every available worker (the pre-gate behaviour the
-        benchmark "before" baselines are generated with)."""
+        event probes every available worker, the reference behaviour the
+        equivalence grids compare gated runs against."""
         platform = build_platform(6, seed=7)
         guard = lifeguard_for(platform, use_dispatch_gate=False)
         guard.mitigator.max_extra_assignments = 0
@@ -399,6 +354,67 @@ class TestDispatchGateIntegration:
         assert counters.probes_attempted == (
             counters.assignments_started + counters.probes_futile
         )
+
+
+class TestSeatingOrderDispatch:
+    def test_reserve_seat_order_survives_activity_cycles(self):
+        """The background reserve lands a shorter-latency, higher-id recruit
+        before a lower-id one.  Every sweep must see available workers in
+        seating order, including after workers cycle active -> available."""
+
+        class ScriptedRecruiter:
+            def __init__(self, recruits):
+                self._recruits = iter(recruits)
+
+            def recruit(self):
+                return next(self._recruits)
+
+        def recruit(worker_id, latency):
+            profile = WorkerProfile(
+                worker_id=worker_id, mean_latency=5.0, latency_std=0.5,
+                accuracy=0.95,
+            )
+            return profile, latency
+
+        platform = build_platform(3, seed=8)
+        platform.reserve = BackgroundReserve(
+            ScriptedRecruiter([recruit(901, 5.0), recruit(902, 1.0)]),
+            target_size=2,
+        )
+        platform.reserve.tick(0.0)
+        platform.reserve.target_size = 0
+        platform.queue.advance_to(2.0)
+        assert platform.refill_pool(4) == 1
+        platform.queue.advance_to(6.0)
+        assert platform.refill_pool(5) == 1
+        seating = platform.pool.worker_ids
+        assert seating[-2:] == [902, 901]
+
+        pool = platform.pool
+        scan = pool.available_workers
+        sweeps = []
+
+        def recording_scan():
+            slots = scan()
+            sweeps.append([slot.worker_id for slot in slots])
+            return slots
+
+        pool.available_workers = recording_scan
+        guard = lifeguard_for(platform)
+        batch = build_batch(30)
+        guard.run_batch(batch)
+
+        assert pool.worker_ids == seating
+        for seen in sweeps:
+            assert seen == [wid for wid in seating if wid in seen]
+        # The out-of-id-order pair was available together at least once.
+        assert any(901 in seen and 902 in seen for seen in sweeps)
+        for wid in (901, 902):
+            finished = [
+                a for task in batch.tasks for a in task.assignments
+                if a.worker_id == wid and not a.is_active
+            ]
+            assert len(finished) >= 2
 
 
 class TestOutcomeDetails:

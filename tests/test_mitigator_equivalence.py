@@ -2,10 +2,10 @@
 
 The straggler mitigator serves dispatch from an incrementally-maintained
 :class:`~repro.core.active_index.ActiveTaskIndex` and the LifeGuard skips
-provably-futile probe sweeps behind an event-level
-:class:`~repro.core.lifeguard.DispatchGate`; the fused brute-force candidate
-scan (:meth:`StragglerMitigator.pick_task_scan`) with ungated probing is
-kept as the reference oracle.  These tests hold the contract both
+the rest of a dispatch sweep once its placeability rules prove every
+probe futile (``LifeGuard.use_dispatch_gate``); the fused brute-force
+candidate scan (:meth:`StragglerMitigator.pick_task_scan`) with ungated
+probing is kept as the reference oracle.  These tests hold the contract both
 optimisations were built under — see ``tests/equivalence.py``, the reusable
 harness that runs every sweep cell across the {indexed, scan} x {gated,
 ungated} grid and asserts bit-identical labels, platform cost counters,
@@ -13,8 +13,8 @@ simulation clocks, and dollar costs.
 
 A mismatch here means a fast path's view of the batch diverged from the
 task objects (a missed callback, a wrong count, a reordered candidate list,
-a gate that closed while something was still placeable) and would silently
-change every published benchmark number.
+a sweep that stopped while something was still placeable) and would
+silently change every published benchmark number.
 
 The sweep classes carry the ``equivalence`` marker so CI can run the sweep
 standalone: ``pytest -m equivalence``.
@@ -135,7 +135,7 @@ class TestPropertySweep:
     def test_duplicate_cap_with_maintenance_and_abandonment(self):
         """Evictions/abandonment churn active counts under a cap — the
         duplicable Fenwick layer must track the platform-side terminations
-        and the gate must re-arm on them."""
+        so the gate's placeability count stays exact."""
         assert_equivalent(
             labeling_config(
                 pool_size=10,
@@ -199,7 +199,8 @@ class TestPropertySweep:
 
 @pytest.mark.equivalence
 class TestDispatchGateSweep:
-    """Gate-specific cells: regimes chosen to force closures and re-arms."""
+    """Gate-specific cells: regimes chosen to make the placeability rules
+    stop sweeps early and often."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("max_extra", [0, 1])
@@ -262,8 +263,8 @@ class TestDispatchGateSweep:
         )
 
     def test_gate_with_maintenance_abandonment_and_cap(self):
-        """Pool churn (evictions, abandonment, refills) must re-arm the gate
-        through the observer hooks — a missed re-arm deadlocks or defers
+        """Pool churn (evictions, abandonment, refills) changes placeability
+        between sweeps — a sweep that stops too early deadlocks or defers
         work and shifts every downstream timestamp."""
         assert_equivalent(
             labeling_config(
