@@ -10,7 +10,7 @@ The ``-s`` flag shows the reproduced tables inline; without it they are
 captured but the benchmark timings are still reported.  Absolute numbers are
 not expected to match the paper (the substrate is a simulator, not MTurk);
 the *shape* — who wins and by roughly what factor — is what each benchmark
-reproduces, and EXPERIMENTS.md records the paper-vs-measured comparison.
+reproduces.
 """
 
 from __future__ import annotations

@@ -37,8 +37,8 @@ def run_strategy(name, config, dataset, num_records=200):
 
 
 def main():
-    # A CIFAR-like binary image-classification stand-in (see DESIGN.md for the
-    # substitution rationale); 2,000 records, 256 raw features.
+    # A CIFAR-like binary image-classification stand-in for the paper's
+    # image-labeling workload; 2,000 records, 256 raw features.
     dataset = make_cifar_like(n_samples=2000, n_features=256, seed=0)
     print(f"dataset: {dataset.name} with {dataset.num_records} records, "
           f"{dataset.num_features} features")

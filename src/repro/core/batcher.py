@@ -139,11 +139,17 @@ class Batcher:
                 dataset, seed=config.seed
             )
         else:
-            self.learner = learner or make_learner(
-                config.learning_strategy.value,
-                dataset,
-                seed=config.seed,
-            )
+            if learner is None:
+                options = {}
+                if config.learning_strategy != LearningStrategy.PASSIVE:
+                    options = {
+                        "measure": config.uncertainty_measure,
+                        "candidate_sample_size": config.candidate_sample_size,
+                    }
+                learner = make_learner(
+                    config.learning_strategy.value, dataset, seed=config.seed, **options
+                )
+            self.learner = learner
             self.retrainer = AsynchronousRetrainer(
                 self.learner,
                 latency_model=decision_latency or DecisionLatencyModel(),

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
+from ..learning.samplers import UNCERTAINTY_MEASURES
+
 
 class LearningStrategy(Enum):
     """The ``Alg`` parameter of Table 3."""
@@ -163,6 +165,10 @@ class CLAMShellConfig:
             raise ValueError("active_fraction must be in (0, 1]")
         if self.candidate_sample_size < 1:
             raise ValueError("candidate_sample_size must be >= 1")
+        if self.uncertainty_measure not in UNCERTAINTY_MEASURES:
+            raise ValueError(
+                f"uncertainty_measure must be one of {sorted(UNCERTAINTY_MEASURES)}"
+            )
         if not 0.0 <= self.latency_cost_tradeoff <= 1.0:
             raise ValueError("latency_cost_tradeoff must be in [0, 1]")
         if not self.backend or not isinstance(self.backend, str):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..api.backends import CrowdBackend
-from ..crowd.events import EventKind
 from ..crowd.tasks import Batch, Task
 from .maintainer import PoolMaintainer
 from .mitigator import StragglerMitigator
@@ -152,10 +151,7 @@ class LifeGuard:
                         f"pending, and no worker can be assigned"
                     )
                 continue
-            event = platform.queue.pop()
-            if event.kind != EventKind.ASSIGNMENT_FINISHED:
-                continue
-            assignment = event.payload
+            assignment = platform.queue.pop()
             if not assignment.is_active:
                 continue
             task = platform.task_for_assignment(assignment)

@@ -1,11 +1,10 @@
 """Crowd-platform substrate: simulated workers, retainer pools, and traces.
 
 This package stands in for Amazon Mechanical Turk (and for the authors'
-trace-driven simulator) in the CLAMShell reproduction.  See DESIGN.md for the
-substitution rationale.
+trace-driven simulator) in the CLAMShell reproduction.
 """
 
-from .events import Event, EventKind, EventQueue
+from .events import EventQueue
 from .platform import PlatformCounters, SimulatedCrowdPlatform
 from .pool import RetainerPool, Slot, SlotState, pool_from_workers
 from .recruitment import BackgroundReserve, Recruiter, RecruitmentParameters
@@ -42,8 +41,6 @@ __all__ = [
     "BackgroundReserve",
     "Batch",
     "CrowdTrace",
-    "Event",
-    "EventKind",
     "EventQueue",
     "MedicalDeploymentParameters",
     "PlatformCounters",

@@ -2,89 +2,44 @@
 
 The CLAMShell paper evaluates its techniques both in simulation and on live
 Mechanical Turk workers.  This module provides the event engine that the
-simulated crowd platform is built on: a priority queue of timestamped events
-that owns the simulation clock.  Events are processed in non-decreasing time
-order; ties are broken deterministically by a monotonically increasing
-sequence number so that runs are reproducible for a fixed random seed.
+simulated crowd platform is built on: a priority queue of timestamped
+payloads that owns the simulation clock.  Payloads are returned in
+non-decreasing time order; ties are broken deterministically by a
+monotonically increasing sequence number so that runs are reproducible for a
+fixed random seed.
+
+Heap entries are plain ``[time, seq, payload]`` lists, so the heap orders
+them by (time, seq) with C-level list comparison; ``seq`` is unique, so
+payloads are never compared.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Iterator, Optional
+from typing import Any
 
-
-class EventKind(Enum):
-    """Kinds of events the crowd simulator schedules."""
-
-    ASSIGNMENT_FINISHED = "assignment_finished"
-    CUSTOM = "custom"
-
-
-@dataclass(order=False)
-class Event:
-    """A single timestamped simulation event.
-
-    Attributes
-    ----------
-    time:
-        Simulation time (seconds) at which the event fires.
-    kind:
-        The :class:`EventKind` of the event.
-    payload:
-        Arbitrary data attached by the scheduler (e.g. an assignment).
-    seq:
-        Tie-breaking sequence number assigned by the queue.
-    cancelled:
-        Lazily-cancelled events are skipped when popped.
-    """
-
-    time: float
-    kind: EventKind
-    payload: Any = None
-    seq: int = 0
-    cancelled: bool = False
-    #: Owning queue, set by :meth:`EventQueue.schedule`, so cancellation can
-    #: keep the queue's live-event counter exact without a heap scan.
-    _queue: Optional["EventQueue"] = field(default=None, repr=False, compare=False)
-    #: Whether the event is still sitting in its queue's heap.
-    _pending: bool = field(default=False, repr=False, compare=False)
-
-    def __lt__(self, other: "Event") -> bool:
-        # Events are heap entries themselves (no wrapper tuples); ordering is
-        # (time, seq), i.e. chronological with deterministic FIFO tie-breaks.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def cancel(self) -> None:
-        """Mark the event so the queue will skip it when it is popped."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._pending and self._queue is not None:
-            self._queue._note_cancelled()
+#: Payload slot of an entry that is no longer live: cancelled, or popped.
+_DEAD = object()
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects.
+    """A deterministic priority queue of timestamped payloads.
 
-    Events with equal timestamps are returned in insertion order.  The queue
-    never moves time backwards: scheduling an event earlier than the current
-    clock raises ``ValueError``.
+    Payloads with equal timestamps are returned in insertion order.  The
+    queue never moves time backwards: scheduling earlier than the current
+    clock raises ``ValueError``.  Cancellation is lazy and O(1): a cancelled
+    entry stays in the heap and :meth:`pop` skips it.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[list[Any]] = []
         self._counter = itertools.count()
         self._now = float(start_time)
         self._events_scheduled = 0
         self._events_processed = 0
-        #: Number of non-cancelled events currently in the heap.  Maintained
-        #: on push/pop/cancel so ``len(queue)`` / ``bool(queue)`` are O(1);
+        #: Number of live entries in the heap.  Maintained on
+        #: schedule/pop/cancel so ``len(queue)`` / ``bool(queue)`` are O(1);
         #: the platform's dispatch loop checks liveness once per event, so a
         #: heap scan here would make the whole simulation quadratic.
         self._live = 0
@@ -96,12 +51,12 @@ class EventQueue:
 
     @property
     def events_scheduled(self) -> int:
-        """Total events ever scheduled onto this queue."""
+        """Total entries ever scheduled onto this queue."""
         return self._events_scheduled
 
     @property
     def events_processed(self) -> int:
-        """Total non-cancelled events popped off this queue."""
+        """Total live entries popped off this queue."""
         return self._events_processed
 
     def __len__(self) -> int:
@@ -110,49 +65,42 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._live > 0
 
-    def schedule(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        """Schedule an event at absolute simulation ``time``.
+    def schedule(self, time: float, payload: Any) -> list[Any]:
+        """Schedule ``payload`` at absolute simulation ``time``.
 
-        Returns the :class:`Event`, which the caller may later ``cancel()``.
+        Returns the heap entry, the handle :meth:`cancel` takes.
         """
         if time < self._now:
             raise ValueError(
                 f"cannot schedule event at t={time:.3f} before current time "
                 f"t={self._now:.3f}"
             )
-        seq = next(self._counter)
-        event = Event(time=float(time), kind=kind, payload=payload, seq=seq)
-        event._queue = self
-        event._pending = True
-        heapq.heappush(self._heap, event)
+        entry = [float(time), next(self._counter), payload]
+        heapq.heappush(self._heap, entry)
         self._events_scheduled += 1
         self._live += 1
-        return event
+        return entry
 
-    def schedule_in(self, delay: float, kind: EventKind, payload: Any = None) -> Event:
-        """Schedule an event ``delay`` seconds after the current time."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule(self._now + delay, kind, payload)
+    def cancel(self, entry: list[Any]) -> None:
+        """Cancel a scheduled entry; a cancelled or popped one is ignored."""
+        if entry[2] is not _DEAD:
+            entry[2] = _DEAD
+            self._live -= 1
 
-    def peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without removing it."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0]
-
-    def pop(self) -> Event:
-        """Remove and return the next event, advancing the clock to it."""
-        self._drop_cancelled()
-        if not self._heap:
-            raise IndexError("pop from an empty EventQueue")
-        event = heapq.heappop(self._heap)
-        event._pending = False
-        self._now = event.time
-        self._events_processed += 1
-        self._live -= 1
-        return event
+    def pop(self) -> Any:
+        """Remove the next live entry, advance the clock to it, return its payload."""
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            payload = entry[2]
+            if payload is _DEAD:
+                continue
+            entry[2] = _DEAD
+            self._now = entry[0]
+            self._events_processed += 1
+            self._live -= 1
+            return payload
+        raise IndexError("pop from an empty EventQueue")
 
     def advance_to(self, time: float) -> None:
         """Advance the clock to ``time`` without processing events.
@@ -165,19 +113,3 @@ class EventQueue:
                 f"cannot advance clock backwards from {self._now:.3f} to {time:.3f}"
             )
         self._now = float(time)
-
-    def drain(self) -> Iterator[Event]:
-        """Yield events in order until the queue is empty."""
-        while self:
-            yield self.pop()
-
-    def _note_cancelled(self) -> None:
-        """A pending event was cancelled: it no longer counts as live."""
-        self._live -= 1
-
-    def _drop_cancelled(self) -> None:
-        # Cancelled events already left the live count when they were
-        # cancelled; here they only leave the heap.
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)._pending = False

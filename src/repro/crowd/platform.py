@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from typing import Protocol, runtime_checkable
-
-from .events import Event, EventKind, EventQueue
+from .events import EventQueue
 from .pool import RetainerPool
 from .recruitment import BackgroundReserve, Recruiter, RecruitmentParameters
 from .tasks import Assignment, AssignmentStatus, Task
@@ -140,7 +138,7 @@ class SimulatedCrowdPlatform:
         self._assignment_counter = itertools.count()
         self._assignments: list[Assignment] = []
         self._tasks: list[Task] = []
-        self._events: list[Optional[Event]] = []
+        self._events: list[Optional[list[Any]]] = []
         self._observers: list[AssignmentObserver] = []
 
     # -- assignment observers ---------------------------------------------------
@@ -224,12 +222,10 @@ class SimulatedCrowdPlatform:
         )
         task.add_assignment(assignment)
         self.pool.mark_active(worker_id, assignment.assignment_id, now)
-        event = self.queue.schedule_in(
-            duration, EventKind.ASSIGNMENT_FINISHED, payload=assignment
-        )
+        entry = self.queue.schedule(now + duration, assignment)
         self._assignments.append(assignment)
         self._tasks.append(task)
-        self._events.append(event)
+        self._events.append(entry)
         self.counters.assignments_started += 1
         for observer in self._observers:
             observer.assignment_started(task, assignment)
@@ -285,9 +281,9 @@ class SimulatedCrowdPlatform:
             raise ValueError("assignment is not active")
         now = self.queue.now
         assignment_id = assignment.assignment_id
-        event = self._events[assignment_id]
-        if event is not None:
-            event.cancel()
+        entry = self._events[assignment_id]
+        if entry is not None:
+            self.queue.cancel(entry)
             self._events[assignment_id] = None
         task = self._tasks[assignment_id]
         assignment.terminate(now)

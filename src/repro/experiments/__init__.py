@@ -1,7 +1,7 @@
 """Experiment drivers: one per figure/table in the paper's evaluation.
 
-See DESIGN.md for the experiment index mapping each driver to its paper
-artifact and benchmark target.
+``repro list`` maps each experiment name to its driver; README "Reproducing
+the paper" shows how to run them and their benchmarks.
 """
 
 from .combined import (

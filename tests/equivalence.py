@@ -8,16 +8,17 @@ dispatch placeability rules on vs off, the thread vs process executor — must
 produce bit-identical labels, platform cost counters, simulation clocks, and
 dollar costs: same RNG stream, same assignment-by-assignment schedule.
 
-This module factors the sweep machinery out of
-``tests/test_mitigator_equivalence.py`` so future PRs can reuse it: build a
-config with :func:`labeling_config`, describe the execution variants to pit
-against each other as :class:`Variant` rows, and call
-:func:`assert_equivalent`.  Each variant runs the full engine path
-(``JobSpec`` -> ``build_run`` -> ``run_iter``) and is fingerprinted by
-:func:`run_fingerprint`; the assertion helper compares every behavioural
-field across variants and additionally holds the dispatch-probe counters
-equal across variants that share a gate setting (the indexed and scan paths
-must make identical gate decisions).
+Build a config with :func:`labeling_config`, describe the execution
+variants to pit against each other as :class:`Variant` rows, and call
+:func:`assert_equivalent`.  A variant without an executor runs the job
+in-process (``JobSpec`` -> ``build_run`` -> ``run_iter``) and is
+fingerprinted by :func:`run_fingerprint`; a variant with one submits it to an
+:class:`Engine` of that executor and is fingerprinted by
+:func:`engine_run_fingerprint`, which adds the observed progress-event
+sequence.  The assertion helper compares every behavioural field across
+variants and additionally holds the dispatch-probe counters equal across
+variants that share a gate setting (the indexed and scan paths, and the
+thread and process executors, must make identical gate decisions).
 
 Probe counters are compared separately from the behavioural fingerprint
 because the dispatch gate changes probe volume *by design*: a gate-on run
@@ -57,6 +58,13 @@ class Variant:
     use_index: bool = True
     #: Enable the placeability rules of the LifeGuard's dispatch sweep.
     use_dispatch_gate: bool = True
+    #: ``None`` runs the job in-process, where the mitigator can be switched
+    #: to the scan oracle.  ``"thread"`` runs it on an engine's pool threads;
+    #: ``"process"`` in a shared-nothing child process with coalesced event
+    #: batches replayed over a pipe.  Engine variants carry the gate through
+    #: the config, so it survives the trip into a worker process.  A grid
+    #: must not mix the two kinds: their fingerprints have different fields.
+    executor: Optional[str] = None
 
 
 #: The default 2x2 grid: {indexed, scan-oracle} x {gate on, gate off}.
@@ -147,35 +155,6 @@ def behavioural_view(fingerprint: dict[str, Any]) -> dict[str, Any]:
     return {key: value for key, value in fingerprint.items() if key != "probes"}
 
 
-# -- executor axis: thread pool vs process pool ------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ExecutorVariant:
-    """One (execution mode, dispatch-gate) cell of the executor sweep."""
-
-    name: str
-    #: ``"thread"`` runs the job on the engine's pool threads; ``"process"``
-    #: runs it in a shared-nothing child process with coalesced event
-    #: batches replayed over a pipe.
-    executor: str = "thread"
-    #: The placeability rules of the LifeGuard's dispatch sweep, carried
-    #: through the config so the setting survives the trip into a worker
-    #: process.
-    use_dispatch_gate: bool = True
-
-
-#: The executor 2x2 grid: {thread, process} x {gated, ungated}.  Holding the
-#: gate axis in the same sweep proves the process pool replays the exact
-#: dispatch decisions of the threaded run in both gate regimes.
-EXECUTOR_VARIANTS: tuple[ExecutorVariant, ...] = (
-    ExecutorVariant("thread+gate", executor="thread", use_dispatch_gate=True),
-    ExecutorVariant("process+gate", executor="process", use_dispatch_gate=True),
-    ExecutorVariant("thread-ungated", executor="thread", use_dispatch_gate=False),
-    ExecutorVariant("process-ungated", executor="process", use_dispatch_gate=False),
-)
-
-
 def event_view(event: ProgressEvent) -> tuple[Any, ...]:
     """A :class:`ProgressEvent` reduced to its comparable fields.
 
@@ -247,48 +226,28 @@ def engine_run_fingerprint(
     }
 
 
-def assert_executors_equivalent(
+def _variant_fingerprint(
     config: CLAMShellConfig,
-    num_records: int = 40,
-    variants: Sequence[ExecutorVariant] = EXECUTOR_VARIANTS,
-    max_workers: int = 2,
-) -> dict[str, dict[str, Any]]:
-    """Run one sweep cell across executors and assert they cannot diverge.
-
-    * Labels, counters, stats, cost, and the event-for-event progress
-      sequence must be bit-identical across *all* variants.
-    * Probe counters must be bit-identical across variants sharing a gate
-      setting (the process pool must replay the thread path's gate
-      decisions exactly).
-
-    Returns the per-variant fingerprints for cell-specific assertions.
-    """
-    runs = {
-        variant.name: engine_run_fingerprint(
-            config.with_overrides(use_dispatch_gate=variant.use_dispatch_gate),
+    num_records: int,
+    variant: Variant,
+    mitigator_overrides: dict[str, Any],
+) -> dict[str, Any]:
+    """Run ``variant`` of one sweep cell on its own execution path."""
+    if variant.executor is None:
+        return run_fingerprint(
+            config,
             num_records,
-            executor=variant.executor,
-            max_workers=max_workers,
+            use_index=variant.use_index,
+            use_dispatch_gate=variant.use_dispatch_gate,
+            mitigator_overrides=mitigator_overrides or None,
         )
-        for variant in variants
-    }
-    names = [variant.name for variant in variants]
-    reference_name = names[0]
-    reference = behavioural_view(runs[reference_name])
-    for name in names[1:]:
-        assert behavioural_view(runs[name]) == reference, (
-            f"executor variant {name!r} diverged behaviourally from "
-            f"{reference_name!r} for config {config.describe()!r}"
-        )
-    by_gate: dict[bool, str] = {}
-    for variant in variants:
-        first = by_gate.setdefault(variant.use_dispatch_gate, variant.name)
-        assert runs[variant.name]["probes"] == runs[first]["probes"], (
-            f"executor variant {variant.name!r} made different gate/probe "
-            f"decisions than {first!r} (gate={variant.use_dispatch_gate}) "
-            f"for config {config.describe()!r}"
-        )
-    return runs
+    if not variant.use_index or mitigator_overrides:
+        raise ValueError("engine variants run the mitigator their config builds")
+    return engine_run_fingerprint(
+        config.with_overrides(use_dispatch_gate=variant.use_dispatch_gate),
+        num_records,
+        executor=variant.executor,
+    )
 
 
 def assert_equivalent(
@@ -301,19 +260,14 @@ def assert_equivalent(
 
     * Behavioural fields must be bit-identical across *all* variants.
     * Probe counters must be bit-identical across variants sharing a gate
-      setting (indexed and oracle dispatch must close/skip identically).
+      setting (indexed and oracle dispatch, and the thread and process
+      executors, must close/skip identically).
 
     Returns the per-variant fingerprints so callers can make additional
     cell-specific assertions (e.g. on probe volume).
     """
     runs = {
-        variant.name: run_fingerprint(
-            config,
-            num_records,
-            use_index=variant.use_index,
-            use_dispatch_gate=variant.use_dispatch_gate,
-            mitigator_overrides=mitigator_overrides or None,
-        )
+        variant.name: _variant_fingerprint(config, num_records, variant, mitigator_overrides)
         for variant in variants
     }
     names = [variant.name for variant in variants]

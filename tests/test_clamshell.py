@@ -223,3 +223,36 @@ class TestFacadeEngineEquivalence:
             return system.last_platform.counters.assignments_started
 
         assert starts(0) < starts(1) < starts(None)
+
+
+class TestLearnerConfig:
+    """The learner is built in one place (the Batcher), from the config, so
+    the facade and the engine use the same candidate sample size; the engine
+    used to build its default learner without it."""
+
+    @staticmethod
+    def _engine_labels(dataset, candidate_sample_size):
+        from repro.api.engine import Engine, JobSpec
+        from repro.experiments.common import mixed_speed_population
+
+        config = full_clamshell(pool_size=10, seed=3, candidate_sample_size=candidate_sample_size)
+        return Engine().run(
+            JobSpec(
+                dataset=dataset,
+                config=config,
+                population=mixed_speed_population(seed=3),
+                num_records=80,
+            )
+        ).labels
+
+    def test_facade_and_engine_share_candidate_sample_size(self, easy_dataset):
+        from repro.experiments.common import mixed_speed_population
+
+        facade_labels = CLAMShell(
+            config=full_clamshell(pool_size=10, seed=3, candidate_sample_size=50),
+            dataset=easy_dataset,
+            population=mixed_speed_population(seed=3),
+        ).run(num_records=80).labels
+        engine_labels = self._engine_labels(easy_dataset, candidate_sample_size=50)
+        assert engine_labels == facade_labels
+        assert engine_labels != self._engine_labels(easy_dataset, candidate_sample_size=500)

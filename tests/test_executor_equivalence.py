@@ -19,9 +19,8 @@ from __future__ import annotations
 import pytest
 
 from equivalence import (
-    EXECUTOR_VARIANTS,
-    ExecutorVariant,
-    assert_executors_equivalent,
+    Variant,
+    assert_equivalent,
     behavioural_view,
     engine_run_fingerprint,
     labeling_config,
@@ -31,6 +30,16 @@ from repro.learning.datasets import make_classification
 
 pytestmark = pytest.mark.equivalence
 
+#: The executor 2x2 grid: {thread, process} x {gated, ungated}.  Holding the
+#: gate axis in the same sweep proves the process pool replays the exact
+#: dispatch decisions of the threaded run in both gate regimes.
+EXECUTOR_GRID = (
+    Variant("thread+gate", executor="thread"),
+    Variant("process+gate", executor="process"),
+    Variant("thread-ungated", executor="thread", use_dispatch_gate=False),
+    Variant("process-ungated", executor="process", use_dispatch_gate=False),
+)
+
 
 class TestExecutorSweep:
     """{thread, process} x {gated, ungated} across seeds and pool sizes."""
@@ -38,13 +47,17 @@ class TestExecutorSweep:
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("pool_size", [7, 15])
     def test_process_pool_matches_thread_pool(self, seed, pool_size):
-        assert_executors_equivalent(
-            labeling_config(seed=seed, pool_size=pool_size), num_records=40
+        assert_equivalent(
+            labeling_config(seed=seed, pool_size=pool_size),
+            num_records=40,
+            variants=EXECUTOR_GRID,
         )
 
     def test_sweep_grid_shape(self):
-        runs = assert_executors_equivalent(labeling_config(seed=1), num_records=30)
-        assert set(runs) == {variant.name for variant in EXECUTOR_VARIANTS}
+        runs = assert_equivalent(
+            labeling_config(seed=1), num_records=30, variants=EXECUTOR_GRID
+        )
+        assert set(runs) == {variant.name for variant in EXECUTOR_GRID}
         gated = runs["thread+gate"]["probes"]["probes_attempted"]
         ungated = runs["thread-ungated"]["probes"]["probes_attempted"]
         # The gate axis is live inside the sweep: gate-off must probe at
@@ -56,9 +69,10 @@ class TestExecutorSweep:
         # The production default (bounded duplication) saturates the cap and
         # leans hardest on the dispatch gate — the regime where a process
         # worker diverging on gate decisions would show first.
-        assert_executors_equivalent(
+        assert_equivalent(
             labeling_config(seed=2, pool_size=10, max_extra_assignments=2),
             num_records=40,
+            variants=EXECUTOR_GRID,
         )
 
 

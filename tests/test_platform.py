@@ -5,7 +5,6 @@ import functools
 import pytest
 
 import repro.crowd.platform
-from repro.crowd.events import EventKind
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.crowd.tasks import Task
 from repro.crowd.worker import WorkerDrawBlock
@@ -62,8 +61,7 @@ class TestAssignments:
         task = make_task(num_records=3)
         worker_id = platform.pool.worker_ids[0]
         assignment = platform.start_assignment(task, worker_id)
-        event = platform.queue.pop()
-        assert event.kind == EventKind.ASSIGNMENT_FINISHED
+        assert platform.queue.pop() is assignment
         labels = platform.complete_assignment(assignment)
         assert len(labels) == 3
         assert platform.pool.slot(worker_id).is_available

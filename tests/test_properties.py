@@ -7,7 +7,7 @@ from repro.core.maintainer import predicted_pool_latency
 from repro.core.metrics import crowd_labeling_objective
 from repro.core.quality import majority_vote, votes_needed, weighted_vote
 from repro.core.termest import TermEst
-from repro.crowd.events import EventKind, EventQueue
+from repro.crowd.events import EventQueue
 from repro.crowd.tasks import TaskFactory, group_into_batches
 from repro.crowd.worker import WorkerObservations, WorkerProfile
 from repro.learning.models import (
@@ -27,9 +27,9 @@ from repro.learning.samplers import RandomSampler
 def test_event_queue_pops_in_time_order(times):
     queue = EventQueue()
     for t in times:
-        queue.schedule(t, EventKind.CUSTOM, t)
-    popped = [queue.pop().time for _ in range(len(times))]
-    assert popped == sorted(popped)
+        queue.schedule(t, t)
+    popped = [queue.pop() for _ in range(len(times))]
+    assert popped == sorted(times)
     assert queue.now == popped[-1]
 
 

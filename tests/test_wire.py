@@ -206,6 +206,12 @@ class TestSpecWire:
         with pytest.raises(ValueError, match="surprise"):
             spec_from_dict(document)
 
+    def test_unknown_uncertainty_measure_rejected(self) -> None:
+        document = spec_to_dict(wire_spec(seed=1))
+        document["config"]["uncertainty_measure"] = "psychic"
+        with pytest.raises(ValueError, match="uncertainty_measure"):
+            JobSpec.from_dict(document)
+
     def test_unsupported_version_rejected(self) -> None:
         document = spec_to_dict(wire_spec(seed=1))
         document["wire_version"] = WIRE_VERSION + 1
