@@ -34,7 +34,7 @@ in-process use.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping
 
 from ..core.batcher import RunResult
 from ..core.config import (
@@ -50,7 +50,9 @@ from .events import ProgressEvent
 
 #: Version of the spec wire format produced by this module.  Bumped on any
 #: incompatible change; readers reject documents from other versions.
-WIRE_VERSION = 1
+#: Version 2 dropped the config key ``latency_cost_tradeoff``, which no code
+#: read.
+WIRE_VERSION = 2
 
 #: Attribute carrying a population's (factory, seed) provenance, stamped by
 #: the registered factories so live instances can re-serialise.

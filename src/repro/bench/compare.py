@@ -1,18 +1,15 @@
 """Scripted comparison of two benchmark JSON documents.
 
 This is the piece CI calls (``repro bench compare baseline.json current.json``)
-so that a performance regression fails the build by exit code rather than by
-a human eyeballing tables.  Policy:
+so that a behaviour change fails the build by exit code.  Policy:
 
-* the two documents must describe the same workload (hard error otherwise);
-* the headline metric is ``events_per_second`` — the current run must reach
-  at least ``(1 - max_regression)`` of the baseline's value to pass;
-* ``labels_per_second`` is reported alongside but only gates when the
-  workload labeled anything in the baseline;
-* with ``strict`` (and equal seeds/params) the simulated outcome must be
-  *identical* — same label count, same cost, same counters — which is how
-  the before/after optimisation baselines prove a speedup changed no
-  behaviour.
+* the two documents must describe the same workload and seed (hard error
+  otherwise: their outcomes are not comparable);
+* every outcome field (:data:`~repro.bench.runner.OUTCOME_KEYS`) must be
+  equal, and each field that differs is one ``MISMATCH`` line;
+* ``params`` are not compared, so a run with a different but
+  behaviour-preserving setting (the scan oracle's ``use_index=false``, the
+  process executor) can be checked against the default run's baseline.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Union
 
-from .runner import load_result
+from .runner import OUTCOME_KEYS, load_result
 
 
 @dataclass
@@ -29,148 +26,54 @@ class ComparisonReport:
     """Outcome of comparing a current benchmark run against a baseline."""
 
     workload: str
-    baseline_events_per_second: float
-    current_events_per_second: float
-    baseline_labels_per_second: float
-    current_labels_per_second: float
-    max_regression: float
-    passed: bool
-    #: Human-readable findings, one per line.
+    #: One ``MISMATCH`` line per outcome field that differs.
     messages: list[str] = field(default_factory=list)
 
     @property
-    def events_ratio(self) -> float:
-        if self.baseline_events_per_second <= 0:
-            return float("inf")
-        return self.current_events_per_second / self.baseline_events_per_second
-
-    @property
-    def labels_ratio(self) -> float:
-        if self.baseline_labels_per_second <= 0:
-            return float("inf")
-        return self.current_labels_per_second / self.baseline_labels_per_second
+    def passed(self) -> bool:
+        return not self.messages
 
     def summary_lines(self) -> list[str]:
         verdict = "PASS" if self.passed else "FAIL"
-        lines = [
+        return [
             f"workload:          {self.workload}",
-            f"events/sec:        {self.baseline_events_per_second:,.0f} -> "
-            f"{self.current_events_per_second:,.0f} ({self.events_ratio:.2f}x)",
-            f"labels/sec:        {self.baseline_labels_per_second:,.0f} -> "
-            f"{self.current_labels_per_second:,.0f} ({self.labels_ratio:.2f}x)",
-            f"allowed regression: {self.max_regression:.0%}",
+            *self.messages,
+            f"verdict:           {verdict}",
         ]
-        lines.extend(self.messages)
-        lines.append(f"verdict:           {verdict}")
-        return lines
 
 
 def compare_documents(
-    baseline: Mapping[str, Any],
-    current: Mapping[str, Any],
-    max_regression: float = 0.30,
-    strict: bool = False,
+    baseline: Mapping[str, Any], current: Mapping[str, Any]
 ) -> ComparisonReport:
     """Compare two schema-valid benchmark documents (see module docstring)."""
-    if not 0.0 <= max_regression < 1.0:
-        raise ValueError("max_regression must be in [0, 1)")
-    if baseline["workload"] != current["workload"]:
-        raise ValueError(
-            f"cannot compare different workloads: baseline is "
-            f"{baseline['workload']!r}, current is {current['workload']!r}"
-        )
-
-    report = ComparisonReport(
-        workload=str(baseline["workload"]),
-        baseline_events_per_second=float(baseline["events_per_second"]),
-        current_events_per_second=float(current["events_per_second"]),
-        baseline_labels_per_second=float(baseline["labels_per_second"]),
-        current_labels_per_second=float(current["labels_per_second"]),
-        max_regression=max_regression,
-        passed=True,
-    )
-    floor = 1.0 - max_regression
-
-    if report.events_ratio < floor:
-        report.passed = False
-        report.messages.append(
-            f"REGRESSION: events/sec fell to {report.events_ratio:.2f}x of the "
-            f"baseline (floor {floor:.2f}x)"
-        )
-    if report.baseline_labels_per_second > 0 and report.labels_ratio < floor:
-        report.passed = False
-        report.messages.append(
-            f"REGRESSION: labels/sec fell to {report.labels_ratio:.2f}x of the "
-            f"baseline (floor {floor:.2f}x)"
-        )
-
-    if baseline["seed"] != current["seed"]:
-        report.messages.append(
-            f"note: seeds differ (baseline {baseline['seed']}, current "
-            f"{current['seed']}); throughput is still comparable but outcomes "
-            "are not"
-        )
-    elif strict:
-        _check_identical_outcomes(baseline, current, report)
-
+    for key in ("workload", "seed"):
+        if baseline[key] != current[key]:
+            raise ValueError(
+                f"cannot compare documents with different {key}s: baseline is "
+                f"{baseline[key]!r}, current is {current[key]!r}"
+            )
+    report = ComparisonReport(workload=str(baseline["workload"]))
+    for key in OUTCOME_KEYS:
+        if baseline[key] != current[key]:
+            report.messages.append(
+                f"MISMATCH: {key}: {_difference(baseline[key], current[key])}"
+            )
     return report
 
 
 def compare_files(
-    baseline_path: Union[str, Path],
-    current_path: Union[str, Path],
-    max_regression: float = 0.30,
-    strict: bool = False,
+    baseline_path: Union[str, Path], current_path: Union[str, Path]
 ) -> ComparisonReport:
     """Load, validate, and compare two ``BENCH_*.json`` files."""
-    return compare_documents(
-        load_result(baseline_path),
-        load_result(current_path),
-        max_regression=max_regression,
-        strict=strict,
-    )
+    return compare_documents(load_result(baseline_path), load_result(current_path))
 
 
-def _check_identical_outcomes(
-    baseline: Mapping[str, Any],
-    current: Mapping[str, Any],
-    report: ComparisonReport,
-) -> None:
-    """Same seed + strict: the simulated behaviour must match exactly."""
-    for key in ("labels", "events_processed", "sim_seconds"):
-        if baseline[key] != current[key]:
-            report.passed = False
-            report.messages.append(
-                f"MISMATCH: {key} differs for the same seed "
-                f"({baseline[key]} vs {current[key]}); the optimisation "
-                "changed simulation behaviour"
-            )
-    baseline_cost = dict(baseline["cost"])
-    current_cost = dict(current["cost"])
-    for key in sorted(set(baseline_cost) | set(current_cost)):
-        old = baseline_cost.get(key)
-        new = current_cost.get(key)
-        if old != new:
-            report.passed = False
-            report.messages.append(
-                f"MISMATCH: cost counter {key!r} differs for the same seed "
-                f"({old} vs {new})"
-            )
-    # Dispatch probe counters are deterministic for a seed, so they are
-    # gated like the cost counters.  A baseline predating the section only
-    # gets a note.
-    baseline_dispatch = dict(baseline.get("dispatch") or {})
-    current_dispatch = dict(current.get("dispatch") or {})
-    if baseline_dispatch != current_dispatch:
-        if baseline_dispatch and current_dispatch:
-            report.passed = False
-            report.messages.append(
-                "MISMATCH: dispatch probe counters differ for the same seed "
-                f"({baseline_dispatch} vs {current_dispatch})"
-            )
-        else:
-            report.messages.append(
-                "note: dispatch probe counters differ "
-                f"({baseline_dispatch or 'absent'} vs "
-                f"{current_dispatch or 'absent'}); not gated without both"
-            )
+def _difference(old: Any, new: Any) -> str:
+    """``old -> new``, narrowed to the differing keys when both are objects."""
+    if isinstance(old, Mapping) and isinstance(new, Mapping):
+        return ", ".join(
+            f"{key} {old.get(key, '<absent>')!r} -> {new.get(key, '<absent>')!r}"
+            for key in sorted(set(old) | set(new))
+            if key not in old or key not in new or old[key] != new[key]
+        )
+    return f"{old!r} -> {new!r}"

@@ -5,9 +5,9 @@ A *workload* is a named, deterministic unit of simulator work: given a seed
 through the :class:`~repro.api.engine.Engine` and returns a
 :class:`WorkloadOutcome` summarising how much simulation was performed —
 events processed, labels produced, simulated seconds covered, dollars spent.
-The :mod:`repro.bench.runner` times workload executions and serialises the
-outcome plus wall-clock statistics to the stable ``BENCH_<workload>.json``
-schema; the CI perf gate compares those files across commits.
+The :mod:`repro.bench.runner` serialises the outcome to the stable
+``BENCH_<workload>.json`` schema; the CI behaviour gate compares those files
+across commits.
 
 Workloads are registered by name with the :func:`register_workload`
 decorator, mirroring the backend registry in :mod:`repro.api.backends`:
@@ -17,8 +17,8 @@ decorator, mirroring the backend registry in :mod:`repro.api.backends`:
 
 Determinism contract: for a fixed seed and fixed parameters, a workload must
 produce an identical outcome on every execution (the runner verifies this
-across repeats).  This is what lets the comparator treat a throughput drop
-as a performance regression rather than a behaviour change.
+across repeats).  This is what lets the comparator treat any difference as a
+behaviour change.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class WorkloadOutcome:
 
     Every field is a pure function of (workload, seed, params): two
     executions with the same inputs must compare equal.  ``details`` carries
-    per-sub-run diagnostics (e.g. one entry per sweep point) and is included
-    in the JSON output but not in the comparator's headline metrics.
+    per-sub-run diagnostics (e.g. one entry per sweep point) that are
+    deterministic too and not already in the params.
     """
 
     #: Simulation seconds covered, summed over the workload's runs.
@@ -53,16 +53,6 @@ class WorkloadOutcome:
     counters: dict[str, float] = field(default_factory=dict)
     #: Free-form, JSON-serialisable diagnostics (per sweep point, speedups).
     details: dict[str, Any] = field(default_factory=dict)
-
-    def fingerprint(self) -> dict[str, Any]:
-        """The determinism-checked view: everything except ``details``."""
-        return {
-            "sim_seconds": round(self.sim_seconds, 6),
-            "events_processed": self.events_processed,
-            "labels": self.labels,
-            "cost": round(self.cost, 6),
-            "counters": {k: round(v, 6) for k, v in sorted(self.counters.items())},
-        }
 
 
 @dataclass(frozen=True)

@@ -1,122 +1,77 @@
 """Benchmark execution and the stable ``BENCH_<workload>.json`` schema.
 
-The runner executes a registered workload with warmup/repeat control, checks
-that every repeat produced an identical :class:`WorkloadOutcome` (the
-determinism contract), and serialises a machine-readable result:
+The runner executes a registered workload ``repeat`` times, checks that every
+repeat produced the same outcome (the determinism contract), and serialises
+it.  A document is a pure function of (workload, seed, params) — it carries
+no wall time, host or provenance stamp — so regenerating it reproduces the
+file byte for byte:
 
 .. code-block:: json
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "workload": "scale",
       "seed": 0,
-      "git_sha": "abc1234",
-      "created_at": "2026-07-31T12:00:00+00:00",
-      "repeat": 3,
-      "warmup": 1,
       "params": {"sweep": [[25, 1000], [50, 2000], [100, 4000]]},
-      "wall_seconds": {"all": [..], "best": 1.9, "mean": 2.0},
       "sim_seconds": 51234.5,
-      "sim_real_ratio": 26600.1,
-      "events_processed": 21500,
-      "events_per_second": 11315.8,
+      "events_processed": 7000,
       "labels": 7000,
-      "labels_per_second": 3684.2,
       "cost": {"total_dollars": 312.4, "records_labeled_paid": 9100, ...},
       "dispatch": {"probes_attempted": 21000, "probes_futile": 96},
       "details": {...}
     }
 
-Throughput fields (``events_per_second``, ``labels_per_second``,
-``sim_real_ratio``) are computed from the *best* wall time — the repeat
-least disturbed by scheduler noise — which is also what the comparator and
-the CI regression gate read.  The schema is stable: fields are only added,
-never renamed, and ``schema_version`` is bumped on any incompatible change.
+Host time is not measured here; ``perfbench/`` owns it.  ``schema_version``
+is bumped on any incompatible change.
 """
 
 from __future__ import annotations
 
 import json
-import subprocess
-import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from .registry import WorkloadOutcome, get_workload
 
 #: Version of the ``BENCH_*.json`` schema produced by this module.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-#: Keys every schema-valid benchmark JSON must contain.
-REQUIRED_KEYS = (
-    "schema_version",
-    "workload",
-    "seed",
-    "git_sha",
-    "created_at",
-    "repeat",
-    "warmup",
-    "params",
-    "wall_seconds",
+#: The simulated outcome of a run: the fields the runner's repeat check and
+#: the comparator require to be equal.
+OUTCOME_KEYS = (
     "sim_seconds",
-    "sim_real_ratio",
     "events_processed",
-    "events_per_second",
     "labels",
-    "labels_per_second",
     "cost",
+    "dispatch",
     "details",
 )
+
+#: Keys every schema-valid benchmark JSON must contain.
+REQUIRED_KEYS = ("schema_version", "workload", "seed", "params") + OUTCOME_KEYS
+
+
+def outcome_fields(document: Mapping[str, Any]) -> dict[str, Any]:
+    """The outcome section of a benchmark document (see :data:`OUTCOME_KEYS`)."""
+    return {key: document[key] for key in OUTCOME_KEYS}
 
 
 @dataclass(frozen=True)
 class BenchmarkResult:
-    """One workload's timed execution, ready to serialise."""
+    """One workload's outcome, ready to serialise."""
 
     workload: str
     seed: int
-    repeat: int
-    warmup: int
     params: dict[str, Any]
-    wall_seconds: list[float]
     outcome: WorkloadOutcome
-    git_sha: str = "unknown"
-    created_at: str = ""
-    schema_version: int = SCHEMA_VERSION
-
-    @property
-    def best_wall_seconds(self) -> float:
-        return min(self.wall_seconds)
-
-    @property
-    def mean_wall_seconds(self) -> float:
-        return sum(self.wall_seconds) / len(self.wall_seconds)
-
-    @property
-    def events_per_second(self) -> float:
-        return self.outcome.events_processed / self.best_wall_seconds
-
-    @property
-    def labels_per_second(self) -> float:
-        return self.outcome.labels / self.best_wall_seconds
-
-    @property
-    def sim_real_ratio(self) -> float:
-        """Simulated seconds covered per real second of execution."""
-        return self.outcome.sim_seconds / self.best_wall_seconds
 
     def to_dict(self) -> dict[str, Any]:
         """The stable JSON document (see module docstring)."""
-        cost = {"total_dollars": round(self.outcome.cost, 6)}
         counters = self.outcome.counters
         # Dispatch-probe counters count the dispatch loop's work, not
-        # anything the crowd is paid for, so they get their own section;
-        # the strict comparator gates them separately from the cost check.
-        dispatch = {
-            key: counters[key] for key in sorted(counters) if key.startswith("probes_")
-        }
+        # anything the crowd is paid for, so they get their own section.
+        cost = {"total_dollars": round(self.outcome.cost, 6)}
         cost.update(
             {
                 key: counters[key]
@@ -124,26 +79,17 @@ class BenchmarkResult:
                 if not key.startswith("probes_")
             }
         )
+        dispatch = {
+            key: counters[key] for key in sorted(counters) if key.startswith("probes_")
+        }
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "workload": self.workload,
             "seed": self.seed,
-            "git_sha": self.git_sha,
-            "created_at": self.created_at,
-            "repeat": self.repeat,
-            "warmup": self.warmup,
             "params": _jsonable(self.params),
-            "wall_seconds": {
-                "all": [round(w, 6) for w in self.wall_seconds],
-                "best": round(self.best_wall_seconds, 6),
-                "mean": round(self.mean_wall_seconds, 6),
-            },
             "sim_seconds": round(self.outcome.sim_seconds, 6),
-            "sim_real_ratio": round(self.sim_real_ratio, 3),
             "events_processed": self.outcome.events_processed,
-            "events_per_second": round(self.events_per_second, 3),
             "labels": self.outcome.labels,
-            "labels_per_second": round(self.labels_per_second, 3),
             "cost": cost,
             "dispatch": dispatch,
             "details": _jsonable(self.outcome.details),
@@ -152,15 +98,10 @@ class BenchmarkResult:
     def summary_lines(self) -> list[str]:
         """Human-readable summary printed by the CLI."""
         return [
-            f"workload:          {self.workload} (seed={self.seed}, "
-            f"repeat={self.repeat}, warmup={self.warmup})",
-            f"wall seconds:      best={self.best_wall_seconds:.3f} "
-            f"mean={self.mean_wall_seconds:.3f}",
-            f"events processed:  {self.outcome.events_processed} "
-            f"({self.events_per_second:,.0f}/s)",
-            f"labels:            {self.outcome.labels} "
-            f"({self.labels_per_second:,.0f}/s)",
-            f"sim/real ratio:    {self.sim_real_ratio:,.0f}x",
+            f"workload:          {self.workload} (seed={self.seed})",
+            f"events processed:  {self.outcome.events_processed}",
+            f"labels:            {self.outcome.labels}",
+            f"sim seconds:       {self.outcome.sim_seconds:,.1f}",
             f"total cost:        ${self.outcome.cost:,.2f}",
             "dispatch probes:   "
             f"{self.outcome.counters.get('probes_attempted', 0):,.0f} attempted, "
@@ -171,61 +112,38 @@ class BenchmarkResult:
 def run_benchmark(
     name: str,
     seed: int = 0,
-    repeat: int = 3,
-    warmup: int = 1,
+    repeat: int = 1,
     params: Optional[Mapping[str, Any]] = None,
-    check_determinism: bool = True,
 ) -> BenchmarkResult:
-    """Execute workload ``name`` ``repeat`` times and collect timings.
+    """Execute workload ``name`` ``repeat`` times and return its outcome.
 
-    ``warmup`` extra executions run first and are discarded (they pay JIT-ish
-    one-time costs: imports, numpy buffer pools, branch caches).  With
-    ``check_determinism`` every repeat's outcome fingerprint must match the
-    first one; a mismatch raises ``RuntimeError`` because a nondeterministic
-    workload cannot back a regression gate.
+    Every repeat's outcome fields must equal the first one's; a mismatch
+    raises ``RuntimeError`` because a nondeterministic workload cannot back
+    a behaviour gate.
     """
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be >= 0")
     spec = get_workload(name)
     params = dict(params or {})
-
-    for _ in range(warmup):
-        spec.execute(seed=seed, **params)
-
-    outcomes: list[WorkloadOutcome] = []
-    walls: list[float] = []
-    for _ in range(repeat):
-        # repro: allow[REPRO-D104] -- the bench harness times the wall, by design
-        start = time.perf_counter()
-        outcome = spec.execute(seed=seed, **params)
-        # repro: allow[REPRO-D104] -- the bench harness times the wall, by design
-        walls.append(time.perf_counter() - start)
-        outcomes.append(outcome)
-
-    if check_determinism:
-        first = outcomes[0].fingerprint()
-        for index, outcome in enumerate(outcomes[1:], start=2):
-            if outcome.fingerprint() != first:
-                raise RuntimeError(
-                    f"workload {name!r} is nondeterministic: repeat {index} "
-                    f"produced a different outcome for seed {seed}"
-                )
-
     recorded_params = {**spec.defaults, **params}
-    return BenchmarkResult(
-        workload=name,
-        seed=seed,
-        repeat=repeat,
-        warmup=warmup,
-        params=recorded_params,
-        wall_seconds=walls,
-        outcome=outcomes[0],
-        git_sha=_git_sha(),
-        # repro: allow[REPRO-D104] -- provenance stamp on the BENCH document only
-        created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
+
+    def run_once() -> BenchmarkResult:
+        return BenchmarkResult(
+            workload=name,
+            seed=seed,
+            params=recorded_params,
+            outcome=spec.execute(seed=seed, **params),
+        )
+
+    result = run_once()
+    first = outcome_fields(result.to_dict())
+    for index in range(2, repeat + 1):
+        if outcome_fields(run_once().to_dict()) != first:
+            raise RuntimeError(
+                f"workload {name!r} is nondeterministic: repeat {index} "
+                f"produced a different outcome for seed {seed}"
+            )
+    return result
 
 
 def write_result(result: BenchmarkResult, path: Union[str, Path]) -> Path:
@@ -234,7 +152,7 @@ def write_result(result: BenchmarkResult, path: Union[str, Path]) -> Path:
     target.parent.mkdir(parents=True, exist_ok=True)
     document = result.to_dict()
     validate_document(document)
-    target.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
+    target.write_text(json.dumps(document, indent=2) + "\n")
     return target
 
 
@@ -249,42 +167,26 @@ def validate_document(document: Any) -> None:
     """Raise ``ValueError`` unless ``document`` is a schema-valid result."""
     if not isinstance(document, dict):
         raise ValueError("benchmark document must be a JSON object")
+    if "schema_version" in document and document["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported schema_version {document['schema_version']!r} "
+            f"(this build reads version {SCHEMA_VERSION}; regenerate the document)"
+        )
     missing = [key for key in REQUIRED_KEYS if key not in document]
     if missing:
         raise ValueError(f"benchmark document missing keys: {', '.join(missing)}")
-    if document["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {document['schema_version']!r} "
-            f"(this build reads version {SCHEMA_VERSION})"
-        )
-    wall = document["wall_seconds"]
-    if not isinstance(wall, dict) or not {"all", "best", "mean"} <= set(wall):
-        raise ValueError("wall_seconds must contain 'all', 'best' and 'mean'")
-    for key in ("events_per_second", "labels_per_second", "sim_seconds"):
-        if not isinstance(document[key], (int, float)):
-            raise ValueError(f"{key} must be numeric")
+    if not isinstance(document["sim_seconds"], (int, float)):
+        raise ValueError("sim_seconds must be numeric")
     if not isinstance(document["cost"], dict) or "total_dollars" not in document["cost"]:
         raise ValueError("cost must be an object containing 'total_dollars'")
+    for key in ("dispatch", "details"):
+        if not isinstance(document[key], dict):
+            raise ValueError(f"{key} must be an object")
 
 
 def default_json_path(workload: str, directory: Union[str, Path] = ".") -> Path:
     """The conventional output filename for a workload."""
     return Path(directory) / f"BENCH_{workload}.json"
-
-
-def _git_sha() -> str:
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            check=False,
-        )
-    except OSError:
-        return "unknown"
-    sha = completed.stdout.strip()
-    return sha if completed.returncode == 0 and sha else "unknown"
 
 
 def _jsonable(value: Any) -> Any:

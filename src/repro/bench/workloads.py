@@ -112,8 +112,7 @@ def headline_workload(
         n_samples=max(4 * num_records, 400), n_classes=2, seed=seed
     )
     config = full_clamshell(pool_size=pool_size, seed=seed)
-    stats = _execute(config, dataset, num_records)
-    return _outcome([stats], {"num_records": num_records, "pool_size": pool_size})
+    return _outcome([_execute(config, dataset, num_records)], {})
 
 
 @register_workload(
@@ -343,15 +342,12 @@ def concurrency_workload(
     Each job gets its own seed, dataset slice, population, and platform, so
     per-job outcomes are deterministic and the aggregate is independent of
     pool interleaving — which is exactly what lets a concurrency benchmark
-    back a regression gate.  Wall-clock improvements here measure the
-    engine's submission/streaming overhead and lock contention, not the
-    simulator.
+    back a behaviour gate.
 
     ``--param executor=process`` runs the same jobs in shared-nothing worker
-    processes instead of pool threads.  The labels/events/cost fingerprint
-    is bit-identical by construction (CI strict-compares the process run
-    against the committed thread baseline); wall-clock scales with cores
-    once jobs are large enough to amortise worker startup.
+    processes instead of pool threads.  The outcome is bit-identical by
+    construction (CI compares the process run against the committed thread
+    baseline).
     """
     specs = []
     for job in range(num_jobs):
@@ -377,17 +373,8 @@ def concurrency_workload(
         )
     with Engine(max_workers=max_workers, executor=executor) as engine:
         paired = engine.run_many_with_stats(specs)
-        high_water = engine.concurrency_high_water
     stats = [job_stats for _, job_stats in paired]
-    details = {
-        "num_jobs": num_jobs,
-        "max_workers": max_workers,
-        "executor": executor,
-        "per_job_labels": [len(result.labels) for result, _ in paired],
-        # Diagnostic only: depends on thread scheduling, so it lives in
-        # details (excluded from the determinism fingerprint).
-        "concurrency_high_water": high_water,
-    }
+    details = {"per_job_labels": [len(result.labels) for result, _ in paired]}
     return _outcome(stats, details)
 
 
@@ -414,11 +401,8 @@ def service_workload(
     completion, paginated labels, final status).
 
     Every job carries its own seed through the JSON wire document, so the
-    labels/cost outcome is a pure function of (seed, params) no matter how
-    requests interleave — that is the fingerprint the determinism check
-    pins.  Requests/sec and latency percentiles are wall-clock and live in
-    ``details`` only; ``requests_per_second`` is the gate-facing throughput
-    headline for this workload.
+    outcome — including the request and streamed-frame counts — is a pure
+    function of (seed, params) no matter how requests interleave.
     """
     from ..service import LabelingService, run_load, start_server
 
@@ -463,14 +447,7 @@ def service_workload(
         server.server_close()
         service.close()
     details = {
-        "num_clients": num_clients,
-        "jobs_per_client": jobs_per_client,
-        # Wall-clock observations: details only (not in the fingerprint).
         "requests": report.requests,
-        "requests_per_second": report.requests_per_second,
-        "latency_ms_p50": report.latency_ms(0.50),
-        "latency_ms_p99": report.latency_ms(0.99),
         "events_streamed": report.events_streamed,
-        "stream_seconds_max": max(report.stream_seconds, default=0.0),
     }
     return _outcome(stats, details)

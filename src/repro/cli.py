@@ -5,16 +5,16 @@ Usage::
     python -m repro list
     python -m repro run fig11 --seed 1
     python -m repro run e2e --num-records 500
-    python -m repro bench scale --json BENCH_scale.json --repeat 3
-    python -m repro bench concurrency --json BENCH_concurrency.json
+    python -m repro bench scale --json BENCH_scale.json
+    python -m repro bench concurrency --json BENCH_concurrency.json --repeat 3
     python -m repro bench compare baselines/BENCH_scale.json BENCH_scale.json
     python -m repro serve --port 8080
     python -m repro lint src tests benchmarks
 
 Each experiment name maps to one paper artifact (``list`` names them); ``run``
 executes the driver and prints the reproduced table.  ``bench`` executes the
-machine-readable benchmark workloads of :mod:`repro.bench` and the scripted
-baseline comparator that backs the CI perf-regression gate.  ``lint`` runs
+deterministic benchmark workloads of :mod:`repro.bench` and the scripted
+baseline comparator that backs the CI behaviour gate.  ``lint`` runs
 the determinism/concurrency static-analysis pass of :mod:`repro.lint` that
 CI enforces (see README "Static analysis").  This is a thin wrapper over
 :mod:`repro.experiments` / :mod:`repro.bench` / :mod:`repro.lint` for users
@@ -254,11 +254,11 @@ def _add_bench_parser(subparsers: argparse._SubParsersAction) -> None:
 
     bench_parser = subparsers.add_parser(
         "bench",
-        help="run machine-readable benchmarks / compare against baselines",
+        help="run deterministic benchmarks / compare against baselines",
         description=(
             "Run a named benchmark workload and optionally write the stable "
             "BENCH_<workload>.json document, or compare two such documents "
-            "(the CI perf-regression gate)."
+            "(the CI behaviour gate: every outcome field must be equal)."
         ),
     )
     bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
@@ -270,17 +270,6 @@ def _add_bench_parser(subparsers: argparse._SubParsersAction) -> None:
     )
     compare_parser.add_argument("baseline", help="path to the baseline BENCH json")
     compare_parser.add_argument("current", help="path to the current BENCH json")
-    compare_parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        help="fail when throughput falls below (1 - this) of baseline (default 0.30)",
-    )
-    compare_parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="additionally require identical simulated outcomes for equal seeds",
-    )
 
     for spec in workload_specs():
         workload_parser = bench_sub.add_parser(
@@ -290,10 +279,10 @@ def _add_bench_parser(subparsers: argparse._SubParsersAction) -> None:
             "--seed", type=int, default=0, help="random seed (default 0)"
         )
         workload_parser.add_argument(
-            "--repeat", type=int, default=3, help="timed repetitions (default 3)"
-        )
-        workload_parser.add_argument(
-            "--warmup", type=int, default=1, help="discarded warmup runs (default 1)"
+            "--repeat",
+            type=int,
+            default=1,
+            help="runs whose outcomes must be identical (default 1)",
         )
         workload_parser.add_argument(
             "--json",
@@ -323,12 +312,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         return 0
 
     if args.bench_command == "compare":
-        report = compare_files(
-            args.baseline,
-            args.current,
-            max_regression=args.max_regression,
-            strict=args.strict,
-        )
+        report = compare_files(args.baseline, args.current)
         for line in report.summary_lines():
             print(line)
         return 0 if report.passed else 1
@@ -337,7 +321,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         args.bench_command,
         seed=args.seed,
         repeat=args.repeat,
-        warmup=args.warmup,
         params=dict(args.param),
     )
     for line in result.summary_lines():

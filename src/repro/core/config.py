@@ -131,8 +131,6 @@ class CLAMShellConfig:
 
     # --- economics / misc ----------------------------------------------------------
     pay_rates: PayRates = field(default_factory=PayRates)
-    #: beta in the Problem-1 objective: preference for speed over cost.
-    latency_cost_tradeoff: float = 0.9
     seed: int = 0
     #: Name of the crowd backend runs execute against, resolved through the
     #: ``repro.api`` backend registry ("simulated" is the built-in platform).
@@ -169,8 +167,6 @@ class CLAMShellConfig:
             raise ValueError(
                 f"uncertainty_measure must be one of {sorted(UNCERTAINTY_MEASURES)}"
             )
-        if not 0.0 <= self.latency_cost_tradeoff <= 1.0:
-            raise ValueError("latency_cost_tradeoff must be in [0, 1]")
         if not self.backend or not isinstance(self.backend, str):
             raise ValueError("backend must be a non-empty string")
 

@@ -4,14 +4,13 @@ Drives a live server the way real clients would — ``http.client`` over
 TCP, one thread per client, each client submitting jobs and then following
 them through every read endpoint (SSE event stream, paginated labels,
 final status).  The ``service`` bench workload wraps this to produce
-``BENCH_service.json``: requests/sec and latency percentiles are wall-clock
-observations (details-only, excluded from the determinism fingerprint),
-while the labels/cost outcome of the driven jobs remains a pure function of
-the submitted seeds.
+``BENCH_service.json``; everything the report counts, like the outcome of
+the driven jobs, is a pure function of the submitted documents.  The
+client takes no timings: host time is measured by ``perfbench/``.
 
 Any client-side failure (non-2xx response, connection error) fails the run:
-a load report with silently dropped requests would undercount latency
-exactly when the service misbehaves.
+a load report with silently dropped requests would undercount exactly when
+the service misbehaves.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import http.client
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
@@ -29,8 +27,6 @@ class _ClientTrace:
     """One client thread's observations (merged after join)."""
 
     job_ids: list[str] = field(default_factory=list)
-    request_latencies_ms: list[float] = field(default_factory=list)
-    stream_seconds: list[float] = field(default_factory=list)
     requests: int = 0
     events_streamed: int = 0
     error: Optional[BaseException] = None
@@ -43,26 +39,10 @@ class LoadReport:
     #: Submitted job ids, client-major then submission order — deterministic,
     #: so callers can look the jobs up for simulator-side stats.
     job_ids: list[str]
+    #: HTTP requests made, SSE streams included.
     requests: int
-    elapsed_seconds: float
-    requests_per_second: float
-    #: Per-request wall latencies for the non-streaming endpoints (ms).
-    request_latencies_ms: list[float]
-    #: Wall durations of the SSE streams (dominated by run time, so kept
-    #: out of the request-latency percentiles).
-    stream_seconds: list[float]
+    #: SSE frames read, summed over every job's stream.
     events_streamed: int
-
-    def latency_ms(self, quantile: float) -> float:
-        return _percentile(self.request_latencies_ms, quantile)
-
-
-def _percentile(values: Sequence[float], quantile: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, round(quantile * (len(ordered) - 1))))
-    return float(ordered[index])
 
 
 def run_load(
@@ -86,27 +66,16 @@ def run_load(
         )
         for index, (client_payloads, trace) in enumerate(zip(payloads, traces))
     ]
-    started = time.perf_counter()  # repro: allow[REPRO-D104] -- load-test wall timing
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    elapsed = time.perf_counter() - started  # repro: allow[REPRO-D104] -- load-test wall timing
     for trace in traces:
         if trace.error is not None:
             raise RuntimeError("load-generation client failed") from trace.error
-    requests = sum(trace.requests for trace in traces)
     return LoadReport(
         job_ids=[job_id for trace in traces for job_id in trace.job_ids],
-        requests=requests,
-        elapsed_seconds=elapsed,
-        requests_per_second=requests / elapsed if elapsed > 0 else 0.0,
-        request_latencies_ms=[
-            latency for trace in traces for latency in trace.request_latencies_ms
-        ],
-        stream_seconds=[
-            duration for trace in traces for duration in trace.stream_seconds
-        ],
+        requests=sum(trace.requests for trace in traces),
         events_streamed=sum(trace.events_streamed for trace in traces),
     )
 
@@ -154,13 +123,10 @@ def _request_json(
 ) -> Any:
     payload = None if body is None else json.dumps(body).encode("utf-8")
     headers = {"Content-Type": "application/json"} if payload else {}
-    started = time.perf_counter()  # repro: allow[REPRO-D104] -- per-request latency
     conn.request(method, path, body=payload, headers=headers)
     response = conn.getresponse()
     raw = response.read()
-    elapsed = time.perf_counter() - started  # repro: allow[REPRO-D104] -- per-request latency
     trace.requests += 1
-    trace.request_latencies_ms.append(1000.0 * elapsed)
     document = json.loads(raw)
     if response.status >= 400:
         raise RuntimeError(f"{method} {path} -> HTTP {response.status}: {document}")
@@ -177,7 +143,6 @@ def _stream_events(
     """
     conn = http.client.HTTPConnection(host, port, timeout=600)
     try:
-        started = time.perf_counter()  # repro: allow[REPRO-D104] -- stream wall duration
         conn.request("GET", f"/jobs/{job_id}/events")
         response = conn.getresponse()
         if response.status != 200:
@@ -185,10 +150,8 @@ def _stream_events(
                 f"GET /jobs/{job_id}/events -> HTTP {response.status}"
             )
         raw = response.read()
-        elapsed = time.perf_counter() - started  # repro: allow[REPRO-D104] -- stream wall duration
     finally:
         conn.close()
     trace.requests += 1
-    trace.stream_seconds.append(elapsed)
     frames = [chunk for chunk in raw.decode("utf-8").split("\n\n") if chunk.strip()]
     return len(frames)

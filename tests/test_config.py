@@ -33,7 +33,6 @@ class TestValidation:
             ("termest_alpha", -0.5),
             ("active_fraction", 0.0),
             ("candidate_sample_size", 0),
-            ("latency_cost_tradeoff", 1.5),
             ("max_extra_assignments", -1),
             ("max_extra_assignments", -10),
         ],

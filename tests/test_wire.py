@@ -102,6 +102,14 @@ class TestConfigWire:
         with pytest.raises(ValueError, match="per_minute_x"):
             config_from_dict({"pay_rates": {"per_minute_x": 1.0}})
 
+    def test_dropped_latency_cost_tradeoff_key_rejected(self) -> None:
+        """Wire version 1 carried ``latency_cost_tradeoff``; version 2 names
+        it as unknown instead of silently ignoring it."""
+        document = spec_to_dict(wire_spec(seed=1))
+        document["config"]["latency_cost_tradeoff"] = 0.9
+        with pytest.raises(ValueError, match="latency_cost_tradeoff"):
+            spec_from_dict(document)
+
 
 class TestDatasetWire:
     def test_generated_dataset_round_trips(self) -> None:
